@@ -39,7 +39,7 @@ from .model import (
     save_checkpoint,
 )
 from .optim import AdamW, AdamWState, adamw_step
-from .tensor import Tensor, backward, forward, gradcheck
+from .tensor import Tensor, backward, gradcheck
 from .train import (
     TrainConfig,
     TrainLog,

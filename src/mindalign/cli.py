@@ -64,8 +64,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read(load, path: Path, error: type[Exception]):
+    """Load a user-named path, turning an unreadable one into ``error``."""
+    try:
+        return load(path)
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
 def _resolve(args) -> RunConfig:
-    rc = load_config(args.config)
+    rc = _read(load_config, args.config, ConfigError)
     kw = {"command": args.command, "out": args.out}
     if args.seed is not None:
         kw["seed"] = args.seed
@@ -105,7 +113,7 @@ def _load_data(rc: RunConfig):
     from .world import load_dataset_dir
     if not rc.paths["data"]:
         raise ConfigError("this command needs --data (or paths.data)")
-    world, datasets = load_dataset_dir(Path(rc.paths["data"]))
+    world, datasets = _read(load_dataset_dir, Path(rc.paths["data"]), DataError)
     if world.config != rc.world:
         raise DataError("dataset directory was generated with a different "
                         "world block than this config")
@@ -116,7 +124,14 @@ def _load_checkpoint(rc: RunConfig):
     from .model import load_checkpoint
     if not rc.paths["checkpoint"]:
         raise ConfigError("this command needs --checkpoint (or paths.checkpoint)")
-    return load_checkpoint(Path(rc.paths["checkpoint"]))
+    return _read(load_checkpoint, Path(rc.paths["checkpoint"]), DataError)
+
+
+def _held_out(rc: RunConfig, datasets):
+    sid = rc.train.held_out_subject
+    if sid not in datasets:
+        raise DataError(f"subject {sid!r} not in dataset directory")
+    return datasets[sid]
 
 
 def cmd_gen_world(rc: RunConfig) -> int:
@@ -141,49 +156,24 @@ def cmd_gen_data(rc: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_pretrain(rc: RunConfig) -> int:
+def cmd_train(rc: RunConfig) -> int:
+    """pretrain, finetune or scratch: train one model, save it and its log."""
     from .model import save_checkpoint
-    from .train import pretrain
+    from .train import finetune, pretrain, train_from_scratch
     out = _out_dir(rc)
     world, datasets = _load_data(rc)
-    held = rc.train.held_out_subject
-    pre = {sid: ds for sid, ds in datasets.items() if sid != held}
-    mp, log = pretrain(world, pre, rc.train, rc.model)
+    k = rc.train.n_finetune_sessions
+    if rc.command == "pretrain":
+        held = rc.train.held_out_subject
+        pre = {sid: ds for sid, ds in datasets.items() if sid != held}
+        mp, log = pretrain(world, pre, rc.train, rc.model)
+    elif rc.command == "finetune":
+        mp, log = finetune(_load_checkpoint(rc), world, _held_out(rc, datasets), k,
+                           rc.train)
+    else:
+        mp, log = train_from_scratch(world, _held_out(rc, datasets), k, rc.train,
+                                     rc.model)
     save_checkpoint(mp, out / "checkpoint.me2c")
-    log.checkpoint_ref = "checkpoint.me2c"
-    log.write_csv(out / "trainlog.csv")
-    return EXIT_OK
-
-
-def cmd_finetune(rc: RunConfig) -> int:
-    from .model import save_checkpoint
-    from .train import finetune
-    out = _out_dir(rc)
-    world, datasets = _load_data(rc)
-    mp = _load_checkpoint(rc)
-    sid = rc.train.held_out_subject
-    if sid not in datasets:
-        raise DataError(f"subject {sid!r} not in dataset directory")
-    mp, log = finetune(mp, world, datasets[sid], rc.train.n_finetune_sessions,
-                       rc.train)
-    save_checkpoint(mp, out / "checkpoint.me2c")
-    log.checkpoint_ref = "checkpoint.me2c"
-    log.write_csv(out / "trainlog.csv")
-    return EXIT_OK
-
-
-def cmd_scratch(rc: RunConfig) -> int:
-    from .model import save_checkpoint
-    from .train import train_from_scratch
-    out = _out_dir(rc)
-    world, datasets = _load_data(rc)
-    sid = rc.train.held_out_subject
-    if sid not in datasets:
-        raise DataError(f"subject {sid!r} not in dataset directory")
-    mp, log = train_from_scratch(world, datasets[sid],
-                                 rc.train.n_finetune_sessions, rc.train, rc.model)
-    save_checkpoint(mp, out / "checkpoint.me2c")
-    log.checkpoint_ref = "checkpoint.me2c"
     log.write_csv(out / "trainlog.csv")
     return EXIT_OK
 
@@ -194,12 +184,10 @@ def cmd_eval(rc: RunConfig) -> int:
     out = _out_dir(rc)
     world, datasets = _load_data(rc)
     mp = _load_checkpoint(rc)
-    sid = rc.train.held_out_subject
-    if sid not in datasets:
-        raise DataError(f"subject {sid!r} not in dataset directory")
+    ds = _held_out(rc, datasets)
+    sid = ds.subject_id
     if sid not in mp.subjects:
         raise DataError(f"checkpoint has no ridge layer for subject {sid!r}")
-    ds = datasets[sid]
     report = evaluate_model(mp, world, ds, rc.eval)
     report.save(out / "report.txt")
     # the same seeded reconstructions the metrics were computed from
@@ -218,7 +206,7 @@ def cmd_scaling(rc: RunConfig) -> int:
     from .evaluate import run_scaling
     out = _out_dir(rc)
     world, datasets = _load_data(rc)
-    sid = rc.train.held_out_subject
+    sid = _held_out(rc, datasets).subject_id
     result = run_scaling(world, datasets, sid, rc.scaling_sessions,
                          rc.scaling_arms, rc.train, rc.model, rc.eval)
     for arm, curve in sorted(result.arms.items()):
@@ -234,8 +222,7 @@ def cmd_ablate(rc: RunConfig) -> int:
     from .train import ablation_run
     out = _out_dir(rc)
     world, datasets = _load_data(rc)
-    sid = rc.train.held_out_subject
-    reports = ablation_run(world, datasets[sid], rc.train.n_finetune_sessions,
+    reports = ablation_run(world, _held_out(rc, datasets), rc.train.n_finetune_sessions,
                            rc.train, rc.model, rc.eval,
                            variants=rc.ablate_variants)
     import csv
@@ -253,9 +240,9 @@ def cmd_ablate(rc: RunConfig) -> int:
 _DISPATCH = {
     "gen-world": cmd_gen_world,
     "gen-data": cmd_gen_data,
-    "pretrain": cmd_pretrain,
-    "finetune": cmd_finetune,
-    "scratch": cmd_scratch,
+    "pretrain": cmd_train,
+    "finetune": cmd_train,
+    "scratch": cmd_train,
     "eval": cmd_eval,
     "scaling": cmd_scaling,
     "ablate": cmd_ablate,

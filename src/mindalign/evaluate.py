@@ -9,8 +9,6 @@ is the full-data pretrained model.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -386,6 +384,12 @@ def reconstruct(mp: ModelParams, world: WorldSpec, voxels: np.ndarray,
 # -- whole-model evaluation ---------------------------------------------------
 
 
+def _protocol(eval_cfg: EvalConfig, n_test: int) -> dict[str, object]:
+    return {"pool_size": eval_cfg.pool_size, "repetitions": eval_cfg.repetitions,
+            "seed": eval_cfg.seed, "chance": 1.0 / eval_cfg.pool_size,
+            "n_test": n_test}
+
+
 def evaluate_model(mp: ModelParams, world: WorldSpec, dataset: SubjectDataset,
                    eval_cfg: EvalConfig, include_reconstruction: bool = True) -> EvalReport:
     """Score a model on a subject's shared test split.
@@ -422,12 +426,7 @@ def evaluate_model(mp: ModelParams, world: WorldSpec, dataset: SubjectDataset,
             for region, r in brain_correlation(final, test_vox, enc).items():
                 metrics[f"brain_corr_{region}"] = r
 
-    protocol = {"pool_size": eval_cfg.pool_size,
-                "repetitions": eval_cfg.repetitions,
-                "seed": eval_cfg.seed,
-                "chance": 1.0 / eval_cfg.pool_size,
-                "n_test": n_test}
-    return EvalReport(metrics=metrics, protocol=protocol)
+    return EvalReport(metrics=metrics, protocol=_protocol(eval_cfg, n_test))
 
 
 def random_baseline_report(world: WorldSpec, dataset: SubjectDataset,
@@ -451,10 +450,7 @@ def random_baseline_report(world: WorldSpec, dataset: SubjectDataset,
         "twoway_low": two_way_identification(rand_imgs, test_imgs, "lowlevel", world),
         "twoway_high": two_way_identification(rand_imgs, test_imgs, "highlevel", world),
     }
-    protocol = {"pool_size": eval_cfg.pool_size, "repetitions": eval_cfg.repetitions,
-                "seed": eval_cfg.seed, "chance": 1.0 / eval_cfg.pool_size,
-                "n_test": n}
-    return EvalReport(metrics=metrics, protocol=protocol)
+    return EvalReport(metrics=metrics, protocol=_protocol(eval_cfg, n))
 
 
 # -- scaling experiment -------------------------------------------------------
@@ -518,23 +514,6 @@ class ScalingResult:
                 writer.writerow([arm, k, name, repr(float(value)), seed])
 
 
-def worker_count() -> int:
-    """Worker cap for independent runs, from MINDALIGN_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("MINDALIGN_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn, items):
-    """Map fn over items, possibly on worker threads; order is preserved."""
-    n = worker_count()
-    if n == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
-
 def scaling_experiment(world: WorldSpec, datasets: dict[str, SubjectDataset],
                        held_out: str, session_grid: tuple[int, ...],
                        with_pretraining: bool, cfg: TrainConfig,
@@ -548,26 +527,15 @@ def scaling_experiment(world: WorldSpec, datasets: dict[str, SubjectDataset],
     target = datasets[held_out]
     arm = "pretrained" if with_pretraining else "scratch"
 
-    def run_one(k: int) -> EvalReport:
+    reports = {}
+    for k in session_grid:
         kcfg = replace(cfg, seed=seeds.derive(cfg.seed, "scaling", arm, k))
         if with_pretraining:
-            mp, _ = finetune(_clone(checkpoint), world, target, k, kcfg)
+            mp, _ = finetune(checkpoint, world, target, k, kcfg)
         else:
             mp, _ = train_from_scratch(world, target, k, kcfg, mcfg)
-        return evaluate_model(mp, world, target, eval_cfg)
-
-    reports = parallel_map(run_one, list(session_grid))
-    return dict(zip(session_grid, reports))
-
-
-def _clone(mp: ModelParams) -> ModelParams:
-    from .tensor import Tensor
-    return ModelParams(world_cfg=mp.world_cfg, mcfg=mp.mcfg,
-                       subjects=dict(mp.subjects),
-                       params={k: Tensor(v.data.copy(),
-                                         requires_grad=v.requires_grad)
-                               for k, v in mp.params.items()},
-                       schedule=mp.schedule, meta=dict(mp.meta))
+        reports[k] = evaluate_model(mp, world, target, eval_cfg)
+    return reports
 
 
 def run_scaling(world: WorldSpec, datasets: dict[str, SubjectDataset],
@@ -599,7 +567,7 @@ def run_scaling(world: WorldSpec, datasets: dict[str, SubjectDataset],
     else:
         acfg = replace(cfg, seed=seeds.derive(cfg.seed, "scaling", "pretrained",
                                               n_sessions))
-        mp, _ = finetune(_clone(checkpoint), world, target, n_sessions, acfg)
+        mp, _ = finetune(checkpoint, world, target, n_sessions, acfg)
         anchor = evaluate_model(mp, world, target, eval_cfg)
     baseline = random_baseline_report(world, target, eval_cfg)
     return ScalingResult(arms=result_arms, baseline=baseline, anchor=anchor,

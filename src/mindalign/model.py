@@ -1,4 +1,4 @@
-"""The trainable decoding graph.
+"""The decoding graph and its parameters.
 
 Per-subject ridge layers map voxels into a shared latent; a residual MLP
 backbone lifts the latent to a frozen token-embedding grid; three heads hang
@@ -230,12 +230,6 @@ def add_subject(mp: ModelParams, sid: str, n_vox: int, seed: int) -> None:
     _init_subject_ridge(mp.params, sid, n_vox, mp.mcfg.h, mp.mcfg,
                         seeds.rng(seed, "ridge", sid))
     mp.subjects[sid] = n_vox
-
-
-def drop_subject(mp: ModelParams, sid: str) -> None:
-    for key in [k for k in mp.params if k.startswith(f"ridge.{sid}.")]:
-        del mp.params[key]
-    mp.subjects.pop(sid, None)
 
 
 def expected_parameter_count(world_cfg: WorldConfig, mcfg: ModelConfig,

@@ -43,7 +43,6 @@ __all__ = [
     "mse_loss",
     "cosine_similarity",
     "cross_entropy_soft",
-    "forward",
     "backward",
     "gradcheck",
 ]
@@ -86,8 +85,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """N-dimensional float64 array with a gradient slot.
 
-    `requires_grad` marks a leaf as trainable; tensors produced by ops
-    require grad whenever any parent does. `grad`, when populated, has the
+    `requires_grad` marks a leaf that receives gradients; tensors produced
+    by ops require grad whenever any parent does. `grad`, when populated, has the
     same shape as `data`.
     """
 
@@ -534,11 +533,6 @@ def cross_entropy_soft(logits: Tensor, soft_targets: np.ndarray | Tensor,
 # -- graph-level interface ----------------------------------------------
 
 Graph = Callable[[Mapping[str, Tensor]], Tensor]
-
-
-def forward(graph: Graph, bindings: Mapping[str, Tensor]) -> Tensor:
-    """Evaluate a graph (a callable from bindings to an output tensor)."""
-    return graph(bindings)
 
 
 def backward(graph: Graph, bindings: Mapping[str, Tensor],

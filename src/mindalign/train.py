@@ -12,7 +12,6 @@ consumed trial ids is kept on the log to make that checkable.
 from __future__ import annotations
 
 import csv
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,8 +36,8 @@ from .model import (
     add_subject,
     backbone_forward,
     converter_forward,
-    drop_subject,
     init_model,
+    is_frozen_parameter,
     lowlevel_forward,
     prior_train_step,
     retrieval_project,
@@ -88,8 +87,6 @@ class TrainConfig:
 @dataclass
 class TrainLog:
     rows: list[tuple[int, str, float, float, float, float]] = field(default_factory=list)
-    wall_clock: float = 0.0
-    checkpoint_ref: str = ""
     used_trials: set[tuple[str, int]] = field(default_factory=set)
 
     def add(self, iteration: int, phase: str, prior_l: float, contrastive_l: float,
@@ -124,9 +121,11 @@ def _decay_mask(params: dict[str, Tensor]) -> dict[str, bool]:
 
 def _train_loop(world: WorldSpec, datasets: dict[str, SubjectDataset],
                 mp: ModelParams, cfg: TrainConfig, per_subject: int,
-                master: int, trainable: dict[str, Tensor] | None = None) -> TrainLog:
-    """Shared optimization loop over equal per-subject batch slices."""
-    t_start = time.perf_counter()
+                master: int) -> TrainLog:
+    """Shared optimization loop over equal per-subject batch slices.
+
+    Steps exactly the parameters of ``mp`` that require grad, in place.
+    """
     subject_ids = sorted(datasets)
     train_idx = {sid: np.flatnonzero(datasets[sid].train_mask) for sid in subject_ids}
     n_min = min(len(v) for v in train_idx.values())
@@ -136,7 +135,7 @@ def _train_loop(world: WorldSpec, datasets: dict[str, SubjectDataset],
                         f"{per_subject} per subject")
     total_iters = cfg.epochs * iters_per_epoch
 
-    params = trainable if trainable is not None else mp.named_parameters()
+    params = {k: p for k, p in mp.params.items() if p.requires_grad}
     opt = AdamW(params, lr=cfg.lr, weight_decay=cfg.ridge_weight_decay,
                 decay_mask=_decay_mask(params))
     log = TrainLog()
@@ -160,7 +159,6 @@ def _train_loop(world: WorldSpec, datasets: dict[str, SubjectDataset],
             for sid in subject_ids:
                 log.used_trials.update((sid, int(r)) for r in batch_rows[sid])
             it += 1
-    log.wall_clock = time.perf_counter() - t_start
     return log
 
 
@@ -172,7 +170,7 @@ def _batch_losses(world, datasets, mp, cfg, phase, batch_rows, master, it):
     imgs = world.images[ids]
     tok_true = token_targets(world, imgs)
 
-    def forward_tokens(voxels_by_subject):
+    def to_tokens(voxels_by_subject):
         lats = []
         for sid in subject_ids:
             mask = _dropout_mask(mp, cfg, master, it, sid,
@@ -181,7 +179,7 @@ def _batch_losses(world, datasets, mp, cfg, phase, batch_rows, master, it):
         lat = lats[0] if len(lats) == 1 else concat(lats, axis=0)
         return backbone_forward(mp, lat)
 
-    tokens = forward_tokens(vox)
+    tokens = to_tokens(vox)
 
     zero = Tensor(0.0)
     prior_l = zero
@@ -196,7 +194,7 @@ def _batch_losses(world, datasets, mp, cfg, phase, batch_rows, master, it):
         target_emb = Tensor(target_embed(mp, tok_true))  # frozen image side
         if phase == PHASE_BIMIXCO:
             mixed, mix = _mixco_per_subject(vox, subject_ids, cfg, master, it)
-            pred_emb = retrieval_project(mp, forward_tokens(mixed))
+            pred_emb = retrieval_project(mp, to_tokens(mixed))
             contrastive_l = bimixco_loss(pred_emb, target_emb, mix, cfg.tau_bimixco)
         else:
             pred_emb = retrieval_project(mp, tokens)
@@ -247,6 +245,28 @@ def _mixco_per_subject(vox, subject_ids, cfg, master, it):
 # -- protocols -------------------------------------------------------------
 
 
+def _fresh_model(world: WorldSpec, datasets: dict[str, SubjectDataset],
+                 cfg: TrainConfig, mcfg: ModelConfig) -> ModelParams:
+    if cfg.mlp_dropout_ridge and not mcfg.mlp_ridge:
+        mcfg = replace(mcfg, mlp_ridge=True)
+    subjects = {sid: datasets[sid].n_voxels for sid in sorted(datasets)}
+    mp = init_model(world.config, mcfg, subjects, seed=seeds.derive(cfg.seed, "init"))
+    mp.meta["world_seed"] = str(world.seed)
+    return mp
+
+
+def _fit_subject(mp: ModelParams, world: WorldSpec, dataset: SubjectDataset,
+                 k_sessions: int, cfg: TrainConfig) -> tuple[ModelParams, TrainLog]:
+    """Train ``mp`` in place on the first k sessions of one subject."""
+    sid = dataset.subject_id
+    log = _train_loop(world, {sid: dataset.restrict_sessions(k_sessions)}, mp, cfg,
+                      per_subject=cfg.batch_size,
+                      master=seeds.derive(cfg.seed, "finetune"))
+    mp.meta["finetuned_subject"] = sid
+    mp.meta["finetune_sessions"] = str(k_sessions)
+    return mp, log
+
+
 def pretrain(world: WorldSpec, datasets: dict[str, SubjectDataset],
              cfg: TrainConfig, mcfg: ModelConfig) -> tuple[ModelParams, TrainLog]:
     """Train one shared model, equally sampling every pretraining subject."""
@@ -257,12 +277,7 @@ def pretrain(world: WorldSpec, datasets: dict[str, SubjectDataset],
         raise SubjectLeakError(
             f"held-out subject {cfg.held_out_subject} present in pretraining data")
     _require_normalized(datasets)
-    if cfg.mlp_dropout_ridge and not mcfg.mlp_ridge:
-        mcfg = replace(mcfg, mlp_ridge=True)
-    subjects = {sid: datasets[sid].n_voxels for sid in sorted(datasets)}
-    mp = init_model(world.config, mcfg, subjects,
-                    seed=seeds.derive(cfg.seed, "init"))
-    mp.meta["world_seed"] = str(world.seed)
+    mp = _fresh_model(world, datasets, cfg, mcfg)
     mp.meta["pretrain_subjects"] = ",".join(sorted(datasets))
     log = _train_loop(world, datasets, mp, cfg,
                       per_subject=cfg.samples_per_subject_per_batch,
@@ -272,29 +287,32 @@ def pretrain(world: WorldSpec, datasets: dict[str, SubjectDataset],
 
 def finetune(checkpoint: ModelParams, world: WorldSpec, dataset: SubjectDataset,
              k_sessions: int, cfg: TrainConfig) -> tuple[ModelParams, TrainLog]:
-    """Continue a pretrained model on the first k sessions of a new subject."""
+    """Continue a pretrained model on the first k sessions of a new subject.
+
+    Returns a new model holding copies of the shared parameters and of the
+    subject's ridge layer (fresh if the checkpoint has none); ``checkpoint``
+    itself is never changed. Under ``ridge_only_finetune`` the shared
+    parameters do not require grad.
+    """
     cfg.validate()
     _require_normalized({dataset.subject_id: dataset})
     sid = dataset.subject_id
     pretrained_on = [s for s in checkpoint.meta.get("pretrain_subjects", "").split(",") if s]
     if sid in pretrained_on:
         raise SubjectLeakError(f"subject leak: {sid} was in the pretraining set")
-    mp = checkpoint
-    for other in [s for s in list(mp.subjects) if s != sid]:
-        drop_subject(mp, other)
+    ridge = f"ridge.{sid}."
+    params = {
+        k: Tensor(v.data.copy(), requires_grad=not is_frozen_parameter(k) and (
+            k.startswith(ridge) or not cfg.ridge_only_finetune))
+        for k, v in checkpoint.params.items()
+        if k.startswith(ridge) or not k.startswith("ridge.")}
+    mp = ModelParams(world_cfg=checkpoint.world_cfg, mcfg=checkpoint.mcfg,
+                     subjects={s: n for s, n in checkpoint.subjects.items() if s == sid},
+                     params=params, schedule=checkpoint.schedule,
+                     meta=dict(checkpoint.meta))
     if sid not in mp.subjects:
         add_subject(mp, sid, dataset.n_voxels, seed=seeds.derive(cfg.seed, "ft-ridge"))
-    restricted = dataset.restrict_sessions(k_sessions)
-    trainable = None
-    if cfg.ridge_only_finetune:
-        trainable = {k: v for k, v in mp.params.items() if k.startswith("ridge.")}
-    log = _train_loop(world, {sid: restricted}, mp, cfg,
-                      per_subject=cfg.batch_size,
-                      master=seeds.derive(cfg.seed, "finetune"),
-                      trainable=trainable)
-    mp.meta["finetuned_subject"] = sid
-    mp.meta["finetune_sessions"] = str(k_sessions)
-    return mp, log
+    return _fit_subject(mp, world, dataset, k_sessions, cfg)
 
 
 def train_from_scratch(world: WorldSpec, dataset: SubjectDataset, k_sessions: int,
@@ -302,18 +320,8 @@ def train_from_scratch(world: WorldSpec, dataset: SubjectDataset, k_sessions: in
     """Single-subject baseline: same loop as fine-tuning, random initialization."""
     cfg.validate()
     _require_normalized({dataset.subject_id: dataset})
-    if cfg.mlp_dropout_ridge and not mcfg.mlp_ridge:
-        mcfg = replace(mcfg, mlp_ridge=True)
-    sid = dataset.subject_id
-    mp = init_model(world.config, mcfg, {sid: dataset.n_voxels},
-                    seed=seeds.derive(cfg.seed, "init"))
-    mp.meta["world_seed"] = str(world.seed)
-    restricted = dataset.restrict_sessions(k_sessions)
-    log = _train_loop(world, {sid: restricted}, mp, cfg, per_subject=cfg.batch_size,
-                      master=seeds.derive(cfg.seed, "finetune"))
-    mp.meta["finetuned_subject"] = sid
-    mp.meta["finetune_sessions"] = str(k_sessions)
-    return mp, log
+    mp = _fresh_model(world, {dataset.subject_id: dataset}, cfg, mcfg)
+    return _fit_subject(mp, world, dataset, k_sessions, cfg)
 
 
 _VARIANT_FLAGS = {
@@ -340,16 +348,15 @@ def ablation_run(world: WorldSpec, dataset: SubjectDataset, k_sessions: int,
                  variants: tuple[str, ...] = ("Prior", "Prior+Low", "Prior+Ret",
                                               "Ret", "Ret+Low", "All")):
     """Train and evaluate one model per component combination, shared seed."""
-    from .evaluate import evaluate_model, parallel_map  # breaks the module cycle
+    from .evaluate import evaluate_model  # breaks the module cycle
 
-    def run_one(variant: str):
+    reports = {}
+    for variant in variants:
         vcfg = variant_config(cfg, variant)
-        vcfg.validate()
         mp, _ = train_from_scratch(world, dataset, k_sessions, vcfg, mcfg)
-        return evaluate_model(mp, world, dataset, eval_cfg,
-                              include_reconstruction=vcfg.use_prior)
-
-    return dict(zip(variants, parallel_map(run_one, list(variants))))
+        reports[variant] = evaluate_model(mp, world, dataset, eval_cfg,
+                                          include_reconstruction=vcfg.use_prior)
+    return reports
 
 
 def train_converter(mp: ModelParams, world: WorldSpec, encoder_b, images: np.ndarray,
@@ -357,12 +364,15 @@ def train_converter(mp: ModelParams, world: WorldSpec, encoder_b, images: np.nda
                     seed: int = 0) -> float:
     """Fit the token-space converter on (primary tokens, secondary tokens) pairs.
 
-    Returns the final training MSE.
+    Returns the final training MSE. The converter is trained in place, also
+    when a ridge-only fine-tune left its parameters without ``requires_grad``.
     """
     tok_a = token_targets(world, images).reshape(
         images.shape[0], world.config.n_tokens, world.config.d_token)
     tok_b = encoder_b.encode_batch(world, images)
     conv_params = {k: v for k, v in mp.params.items() if k.startswith("converter.")}
+    for p in conv_params.values():
+        p.requires_grad = True
     opt = AdamW(conv_params, lr=lr)
     n = images.shape[0]
     rng = seeds.rng(seed, "converter")

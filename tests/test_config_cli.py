@@ -120,6 +120,13 @@ def workdir(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def checkpoint(workdir):
+    assert main(["pretrain", "--config", str(workdir / "small.cfg"),
+                 "--data", str(workdir / "data"), "--out", str(workdir / "pre0")]) == 0
+    return workdir / "pre0" / "checkpoint.me2c"
+
+
 class TestCLI:
     def test_gen_world_deterministic_manifest(self, workdir):
         for name in ("w1", "w2"):
@@ -205,13 +212,41 @@ class TestCLI:
         header = (workdir / "sc" / "curve.csv").read_text().splitlines()[0]
         assert header == "arm,k_sessions,metric_name,value,seed"
 
-    def test_ablate_outputs_and_thread_determinism(self, workdir, monkeypatch):
-        args = ["ablate", "--config", str(workdir / "small.cfg"),
-                "--data", str(workdir / "data"), "--subject", "s2",
-                "--sessions", "2", "--variants", "Ret,All"]
-        assert main(args + ["--out", str(workdir / "ab1")]) == 0
-        monkeypatch.setenv("MINDALIGN_THREADS", "3")
-        assert main(args + ["--out", str(workdir / "ab2")]) == 0
-        assert ((workdir / "ab1" / "summary.csv").read_bytes()
-                == (workdir / "ab2" / "summary.csv").read_bytes())
+    def test_ablate_outputs(self, workdir):
+        assert main(["ablate", "--config", str(workdir / "small.cfg"),
+                     "--data", str(workdir / "data"), "--subject", "s2",
+                     "--sessions", "2", "--variants", "Ret,All",
+                     "--out", str(workdir / "ab1")]) == 0
+        rows = (workdir / "ab1" / "summary.csv").read_text().splitlines()
+        assert rows[0] == "variant,metric_name,value"
+        assert {row.split(",")[0] for row in rows[1:]} == {"Ret", "All"}
         assert (workdir / "ab1" / "report_Ret.txt").exists()
+        assert (workdir / "ab1" / "report_All.txt").exists()
+
+    @pytest.mark.parametrize("command", ["finetune", "scratch", "eval", "scaling",
+                                         "ablate"])
+    def test_unknown_subject_exits_3(self, workdir, checkpoint, tmp_path, capsys,
+                                     command):
+        args = [command, "--config", str(workdir / "small.cfg"),
+                "--data", str(workdir / "data"), "--subject", "s9",
+                "--out", str(tmp_path / "o")]
+        if command in ("finetune", "eval"):
+            args += ["--checkpoint", str(checkpoint)]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err == "data error: subject 's9' not in dataset directory\n"
+
+    @pytest.mark.parametrize("flag, code", [("--config", 2), ("--data", 3),
+                                            ("--checkpoint", 3)])
+    def test_missing_path_exits_cleanly(self, workdir, checkpoint, tmp_path, capsys,
+                                        flag, code):
+        paths = {"--config": str(workdir / "small.cfg"),
+                 "--data": str(workdir / "data"), "--checkpoint": str(checkpoint)}
+        paths[flag] = str(tmp_path / "missing")
+        args = ["eval", "--subject", "s2", "--out", str(tmp_path / "o")]
+        for name, path in paths.items():
+            args += [name, path]
+        assert main(args) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "cannot read" in err and str(tmp_path / "missing") in err

@@ -11,7 +11,6 @@ from mindalign.model import (
     backbone_forward,
     converter_forward,
     denoise,
-    drop_subject,
     expected_parameter_count,
     init_model,
     load_checkpoint,
@@ -262,8 +261,6 @@ class TestStructure:
         assert mp.params["ridge.new.W"].shape == (MCFG.h, 33)
         with pytest.raises(DataError):
             add_subject(mp, "new", 33, seed=9)
-        drop_subject(mp, "new")
-        assert "ridge.new.W" not in mp.params
 
     def test_every_head_gradchecks(self, mp, world):
         imgs = world.images[:3]

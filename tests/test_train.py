@@ -172,6 +172,37 @@ class TestFinetune:
         for k, v in shared_before.items():
             np.testing.assert_array_equal(mpf.params[k].data, v)
 
+    @pytest.mark.parametrize("ridge_only", [False, True])
+    def test_checkpoint_left_unchanged(self, tiny_world, tiny_datasets, tiny_mcfg,
+                                       ridge_only):
+        mp = self._checkpoint(tiny_world, tiny_datasets, tiny_mcfg)
+
+        def snapshot(m):
+            return (list(m.params), dict(m.subjects), dict(m.meta),
+                    {k: (v.data.tobytes(), None if v.grad is None else v.grad.tobytes())
+                     for k, v in m.params.items()})
+
+        before = snapshot(mp)
+        cfg = TrainConfig(**{**FAST.__dict__, "ridge_only_finetune": ridge_only})
+        mpf, _ = finetune(mp, tiny_world, tiny_datasets["s3"], 2, cfg)
+        assert mpf is not mp
+        assert snapshot(mp) == before
+        assert not any(mpf.params[k] is v for k, v in mp.params.items() if k in mpf.params)
+        if ridge_only:
+            assert all(mpf.params[k].grad is None and not mpf.params[k].requires_grad
+                       for k in mpf.shared_parameter_names())
+
+    def test_ridge_only_result_still_trains_converter(self, tiny_world, tiny_datasets,
+                                                      tiny_mcfg):
+        mp = self._checkpoint(tiny_world, tiny_datasets, tiny_mcfg)
+        cfg = TrainConfig(**{**FAST.__dict__, "ridge_only_finetune": True})
+        mpf, _ = finetune(mp, tiny_world, tiny_datasets["s3"], 1, cfg)
+        enc_b = secondary_token_encoder(tiny_world, tiny_mcfg.m_tokens,
+                                        tiny_mcfg.d_token_b, seed=9)
+        before = mpf.params["converter.feat.W"].data.copy()
+        train_converter(mpf, tiny_world, enc_b, tiny_world.images[:32], epochs=2, seed=4)
+        assert not np.array_equal(mpf.params["converter.feat.W"].data, before)
+
     def test_scratch_equals_finetune_from_same_weights(self, tiny_world,
                                                        tiny_datasets, tiny_mcfg):
         # the two entry points share one loop: identical starting weights and
