@@ -104,8 +104,11 @@ def _resolve(args) -> RunConfig:
 
 def _out_dir(rc: RunConfig) -> Path:
     out = Path(rc.paths["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.txt").write_text(echo_config(rc), encoding="utf-8")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "config.txt").write_text(echo_config(rc), encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot create {out}: {exc.strerror or exc}") from None
     return out
 
 
@@ -181,6 +184,7 @@ def cmd_train(rc: RunConfig) -> int:
 def cmd_eval(rc: RunConfig) -> int:
     from . import seeds
     from .evaluate import evaluate_model, reconstruct, save_image
+    from .store import write_arrays
     out = _out_dir(rc)
     world, datasets = _load_data(rc)
     mp = _load_checkpoint(rc)
@@ -199,6 +203,8 @@ def cmd_eval(rc: RunConfig) -> int:
     for i in range(recs["final"].shape[0]):
         save_image(rec_dir / f"recon_{i:03d}.ppm", recs["final"][i])
         save_image(rec_dir / f"truth_{i:03d}.ppm", truths[i])
+    write_arrays(rec_dir / "images.bin", {},
+                 {"recon": recs["final"].astype("<f4"), "truth": truths.astype("<f4")})
     return EXIT_OK
 
 

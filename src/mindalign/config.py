@@ -14,7 +14,7 @@ from pathlib import Path
 from . import seeds
 from .errors import ConfigError
 from .evaluate import EvalConfig
-from .flatkv import format_flat, parse_bool, parse_flat
+from .flatkv import format_flat, parse_flat, parse_value
 from .losses import LossWeights
 from .model import ModelConfig
 from .train import TrainConfig
@@ -28,35 +28,32 @@ _EXCLUDED_FIELDS = {("train", "seed"), ("train", "weights"), ("train", "mixco_be
                     ("eval", "seed")}
 
 _SPECIAL_KEYS = {
-    "seed": int,
-    "command": str,
-    "train.alpha1": float,
-    "train.alpha2": float,
-    "train.mixco_beta_a": float,
-    "train.mixco_beta_b": float,
-    "paths.out": str,
-    "paths.data": str,
-    "paths.checkpoint": str,
-    "scaling.sessions": str,
-    "scaling.arms": str,
-    "ablate.variants": str,
+    "seed": "int",
+    "command": "str",
+    "train.alpha1": "float",
+    "train.alpha2": "float",
+    "train.mixco_beta_a": "float",
+    "train.mixco_beta_b": "float",
+    "paths.out": "str",
+    "paths.data": "str",
+    "paths.checkpoint": "str",
+    "scaling.sessions": "str",
+    "scaling.arms": "str",
+    "ablate.variants": "str",
 }
 
 _BLOCKS = {"world": WorldConfig, "model": ModelConfig, "train": TrainConfig,
            "eval": EvalConfig}
 
 
-def _registry() -> dict[str, type]:
-    reg: dict[str, type] = dict(_SPECIAL_KEYS)
+def _registry() -> dict[str, str]:
+    """Every accepted key and the kind `parse_value` casts it to."""
+    reg = dict(_SPECIAL_KEYS)
     for block, cls in _BLOCKS.items():
         for f in fields(cls):
             if (block, f.name) in _EXCLUDED_FIELDS:
                 continue
-            caster = {"int": int, "float": float, "str": str, "bool": bool}.get(f.type)
-            if caster is None:
-                raise AssertionError(f"unhandled field type {f.type} for "
-                                     f"{block}.{f.name}")
-            reg[f"{block}.{f.name}"] = caster
+            reg[f"{block}.{f.name}"] = f.type
     return reg
 
 
@@ -78,16 +75,6 @@ class RunConfig:
         return seeds.derive(self.seed, "world")
 
 
-def _cast(key: str, raw: str, caster) -> object:
-    if caster is bool:
-        return parse_bool(raw, key)
-    try:
-        return caster(raw)
-    except ValueError:
-        raise ConfigError(f"key {key!r}: expected {caster.__name__}, "
-                          f"got {raw!r}") from None
-
-
 def _parse_int_list(raw: str, key: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in raw.split(",") if tok.strip())
@@ -104,17 +91,12 @@ def parse_config(text: str) -> RunConfig:
     for key, val in raw.items():
         if key not in registry:
             raise ConfigError(f"unknown key {key!r}")
-        values[key] = _cast(key, val, registry[key])
+        values[key] = parse_value(val, registry[key], key)
 
     def block_kwargs(block: str, cls) -> dict:
-        out = {}
-        for f in fields(cls):
-            if (block, f.name) in _EXCLUDED_FIELDS:
-                continue
-            key = f"{block}.{f.name}"
-            if key in values:
-                out[f.name] = values[key]
-        return out
+        # excluded fields never reach ``values``: the registry rejects them
+        return {f.name: values[f"{block}.{f.name}"] for f in fields(cls)
+                if f"{block}.{f.name}" in values}
 
     master = int(values.get("seed", 0))
     try:
@@ -187,7 +169,10 @@ def load_config(path: Path | None) -> RunConfig:
     """Parse a config file, or all defaults when no path is given."""
     if path is None:
         return parse_config("")
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    try:
+        return parse_config(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
 
 
 def with_overrides(rc: RunConfig, **kw) -> RunConfig:

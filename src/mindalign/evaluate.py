@@ -324,32 +324,15 @@ def brain_correlation(recons: np.ndarray, true_voxels: np.ndarray,
 
 
 def save_image(path: Path, image: np.ndarray) -> None:
-    """Write a [H, W, 3] image in [0, 1] as binary PPM (P6, 8-bit) with a raw
-    little-endian f32 sidecar (`<path>.f32`) for lossless metric computation."""
+    """Write a [H, W, 3] image in [0, 1] as binary PPM (P6, 8-bit)."""
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 3 or img.shape[2] != 3:
         raise DataError("PPM serialization needs an [H, W, 3] image")
     h, w, _ = img.shape
     quantized = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
-    path = Path(path)
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(quantized.tobytes())
-    np.asarray(img, dtype="<f4").tofile(path.with_suffix(path.suffix + ".f32"))
-
-
-def load_image_sidecar(path: Path) -> np.ndarray:
-    """Read the lossless f32 sidecar back using the PPM header for the shape."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        magic = fh.readline().strip()
-        if magic != b"P6":
-            raise DataError(f"{path}: not a binary PPM")
-        w, h = (int(tok) for tok in fh.readline().split())
-    arr = np.fromfile(path.with_suffix(path.suffix + ".f32"), dtype="<f4")
-    if arr.size != h * w * 3:
-        raise DataError(f"{path}: sidecar has {arr.size} floats, expected {h * w * 3}")
-    return arr.reshape(h, w, 3).astype(np.float64)
 
 
 # -- reconstruction ----------------------------------------------------------

@@ -1,11 +1,14 @@
 """Flat dotted-key text format: one `key = value` per line.
 
-Used for config files, config echoes, and dataset/world manifests. Chosen
-for diffability; values are written with repr-level precision so that
-parse(format(d)) round-trips exactly.
+Used for config files, config echoes, world manifests and the metadata of
+array files. Chosen for diffability; values are written with repr-level
+precision so that parse(format(d)) round-trips exactly.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import fields
 
 from .errors import ConfigError
 
@@ -42,9 +45,26 @@ def format_flat(items: dict[str, object]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_bool(value: str, key: str) -> bool:
-    if value == "true":
-        return True
-    if value == "false":
-        return False
-    raise ConfigError(f"key {key!r}: expected true/false, got {value!r}")
+# the casts for `parse_value`; bools are written as true/false
+_KINDS = {"int": int, "float": float, "str": str,
+          "bool": {"true": True, "false": False}.__getitem__}
+
+
+def parse_value(raw: str | None, kind: str, key: str) -> object:
+    """Cast the value of ``key`` (None: missing) to "int", "float" (finite),
+    "str" or "bool"."""
+    if raw is None:
+        raise ConfigError(f"missing key {key!r}")
+    try:
+        value = _KINDS[kind](raw)
+        if kind == "float" and not math.isfinite(value):
+            raise ValueError
+    except (ValueError, KeyError):
+        raise ConfigError(f"key {key!r}: expected {kind}, got {raw!r}") from None
+    return value
+
+
+def parse_fields(cls, items: dict[str, str], prefix: str):
+    """Build the dataclass ``cls`` from the ``<prefix>.<field>`` keys of ``items``."""
+    return cls(**{f.name: parse_value(items.get(f"{prefix}.{f.name}"), f.type,
+                                      f"{prefix}.{f.name}") for f in fields(cls)})

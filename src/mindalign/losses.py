@@ -41,10 +41,8 @@ class LossWeights:
 
 @dataclass
 class MixCoBatch:
-    mixed: np.ndarray        # [B, V] convex combinations
     lam: np.ndarray          # [B] mix coefficient toward the sample's own row
     perm: np.ndarray         # [B] permutation of batch indices
-    beta_params: tuple[float, float]
 
 
 @dataclass
@@ -104,16 +102,18 @@ def mix_voxels(voxels: np.ndarray, lam: np.ndarray, perm: np.ndarray) -> np.ndar
 
 
 def mixco_augment(voxels: np.ndarray, beta_params: tuple[float, float] = (0.15, 0.15),
-                  seed: int = 0) -> MixCoBatch:
-    """Draw mixing coefficients and a partner permutation, deterministic in seed."""
+                  seed: int = 0) -> tuple[np.ndarray, MixCoBatch]:
+    """Draw mixing coefficients and a partner permutation, deterministic in seed.
+
+    Returns the mixed voxels and the batch that labels them.
+    """
     v = np.asarray(voxels, dtype=np.float64)
     if v.shape[0] < 2:
         raise ValueError("mixco needs a batch of at least 2")
     rng = seeds.rng(seed, "mixco")
     lam = rng.beta(beta_params[0], beta_params[1], size=v.shape[0])
     perm = rng.permutation(v.shape[0])
-    return MixCoBatch(mixed=mix_voxels(v, lam, perm), lam=lam, perm=perm,
-                      beta_params=beta_params)
+    return mix_voxels(v, lam, perm), MixCoBatch(lam=lam, perm=perm)
 
 
 def mixco_label_matrix(mix: MixCoBatch) -> np.ndarray:

@@ -14,8 +14,6 @@ and the checkpoint format see one namespace.
 
 from __future__ import annotations
 
-import io
-import struct
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -23,7 +21,8 @@ import numpy as np
 
 from . import seeds
 from .errors import ConfigError, DataError
-from .flatkv import format_flat, parse_flat
+from .flatkv import parse_fields
+from .store import check_layout, read_arrays, write_arrays
 from .tensor import (
     ShapeError,
     Tensor,
@@ -40,9 +39,6 @@ from .tensor import (
     transpose,
 )
 from .world import WorldConfig, world_config_from_items, world_config_items
-
-CHECKPOINT_MAGIC = b"ME2C"
-CHECKPOINT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -481,82 +477,40 @@ def converter_forward(mp: ModelParams, tokens_a) -> Tensor:
 # -- checkpoint format ----------------------------------------------------
 
 
-def _meta_items(mp: ModelParams) -> dict[str, object]:
-    items: dict[str, object] = {}
-    items.update(world_config_items(mp.world_cfg, seed=int(mp.meta.get("world_seed", 0))))
-    for f in fields(ModelConfig):
-        items[f"model.{f.name}"] = getattr(mp.mcfg, f.name)
-    items["subjects"] = ",".join(mp.subjects)
-    for sid, n_vox in mp.subjects.items():
-        items[f"subject.{sid}.n_voxels"] = n_vox
-    for k, v in mp.meta.items():
-        if k != "world_seed":  # already carried as world.seed
-            items[f"meta.{k}"] = v
-    return items
-
-
 def save_checkpoint(mp: ModelParams, path: Path) -> None:
-    """Binary checkpoint: magic, version, config echo, named f32 blobs."""
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<B", CHECKPOINT_VERSION))
-    meta = format_flat(_meta_items(mp)).encode("utf-8")
-    buf.write(struct.pack("<I", len(meta)))
-    buf.write(meta)
-    names = sorted(mp.params)
-    buf.write(struct.pack("<I", len(names)))
-    for name in names:
-        data = mp.params[name].data
-        enc = name.encode("utf-8")
-        buf.write(struct.pack("<H", len(enc)))
-        buf.write(enc)
-        buf.write(struct.pack("<B", data.ndim))
-        for dim in data.shape:
-            buf.write(struct.pack("<I", dim))
-        buf.write(np.asarray(data, dtype="<f4").tobytes())
-    Path(path).write_bytes(buf.getvalue())
+    """One array file: the config echo, then every parameter as float32."""
+    items = world_config_items(mp.world_cfg, seed=int(mp.meta.get("world_seed", 0)))
+    items.update({f"model.{f.name}": getattr(mp.mcfg, f.name) for f in fields(ModelConfig)})
+    # world_seed is already carried as world.seed
+    items.update({f"meta.{k}": v for k, v in mp.meta.items() if k != "world_seed"})
+    write_arrays(path, items,
+                 {name: mp.params[name].data.astype("<f4") for name in sorted(mp.params)})
 
 
 def load_checkpoint(path: Path) -> ModelParams:
-    raw = Path(path).read_bytes()
-    buf = io.BytesIO(raw)
-    if buf.read(4) != CHECKPOINT_MAGIC:
-        raise DataError(f"{path}: not a checkpoint (bad magic)")
-    version = struct.unpack("<B", buf.read(1))[0]
-    if version != CHECKPOINT_VERSION:
-        raise DataError(f"{path}: unsupported checkpoint version {version}")
-    meta_len = struct.unpack("<I", buf.read(4))[0]
-    items = parse_flat(buf.read(meta_len).decode("utf-8"))
-    world_cfg, world_seed = world_config_from_items(items)
-    mkwargs = {}
-    for f in fields(ModelConfig):
-        rawv = items[f"model.{f.name}"]
-        if f.type == "bool":
-            mkwargs[f.name] = rawv == "True" or rawv == "true"
-        elif f.type == "float":
-            mkwargs[f.name] = float(rawv)
-        elif f.type == "str":
-            mkwargs[f.name] = rawv
-        else:
-            mkwargs[f.name] = int(rawv)
-    mcfg = ModelConfig(**mkwargs)
-    subjects = {}
-    if items.get("subjects"):
-        for sid in items["subjects"].split(","):
-            subjects[sid] = int(items[f"subject.{sid}.n_voxels"])
-    meta = {k[len("meta."):]: v for k, v in items.items() if k.startswith("meta.")}
-    meta["world_seed"] = str(world_seed)
-    n_blobs = struct.unpack("<I", buf.read(4))[0]
-    params: dict[str, Tensor] = {}
-    for _ in range(n_blobs):
-        name_len = struct.unpack("<H", buf.read(2))[0]
-        name = buf.read(name_len).decode("utf-8")
-        ndim = struct.unpack("<B", buf.read(1))[0]
-        shape = tuple(struct.unpack("<I", buf.read(4))[0] for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(buf.read(4 * count), dtype="<f4").reshape(shape)
-        params[name] = Tensor(data.astype(np.float64),
+    """Reload a checkpoint; its arrays must be exactly what its config builds.
+
+    Subjects and their voxel counts come from the ``ridge.<sid>.W`` arrays.
+    """
+    items, arrays = read_arrays(path)
+    subjects = {name[len("ridge."):-len(".W")]: arr.shape[1] for name, arr in arrays.items()
+                if name.startswith("ridge.") and name.endswith(".W") and arr.ndim == 2}
+    try:
+        world_cfg, world_seed = world_config_from_items(items)
+        mcfg = parse_fields(ModelConfig, items, "model")
+        world_cfg.validate()
+        mcfg.validate()
+        # the file's size bounds what the template below may allocate
+        if expected_parameter_count(world_cfg, mcfg, subjects) != sum(
+                arr.size for arr in arrays.values()):
+            raise DataError(f"{path}: parameter count differs from what its config builds")
+        mp = init_model(world_cfg, mcfg, subjects, seed=0)
+    except ConfigError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    check_layout(path, arrays, {name: ("<f4", p.shape) for name, p in mp.params.items()})
+    mp.params = {name: Tensor(arr.astype(np.float64),
                               requires_grad=not is_frozen_parameter(name))
-    return ModelParams(world_cfg=world_cfg, mcfg=mcfg, subjects=subjects,
-                       params=params, schedule=make_schedule(mcfg.schedule, mcfg.t_steps),
-                       meta=meta)
+                 for name, arr in arrays.items()}
+    mp.meta = {k[len("meta."):]: v for k, v in items.items() if k.startswith("meta.")}
+    mp.meta["world_seed"] = str(world_seed)
+    return mp

@@ -237,9 +237,7 @@ def _mixco_per_subject(vox, subject_ids, cfg, master, it):
         lams.append(lam)
         perms.append(perm + offset)
         offset += v.shape[0]
-    mix = MixCoBatch(mixed=np.zeros((offset, 1)), lam=np.concatenate(lams),
-                     perm=np.concatenate(perms), beta_params=cfg.mixco_beta)
-    return mixed, mix
+    return mixed, MixCoBatch(lam=np.concatenate(lams), perm=np.concatenate(perms))
 
 
 # -- protocols -------------------------------------------------------------

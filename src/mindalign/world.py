@@ -23,7 +23,8 @@ from scipy.ndimage import gaussian_filter
 
 from . import seeds
 from .errors import ConfigError, DataError
-from .flatkv import format_flat, parse_flat
+from .flatkv import format_flat, parse_fields, parse_flat, parse_value
+from .store import check_layout, read_arrays, write_arrays
 
 STD_FLOOR = 1e-6
 REGION_NAMES = ("V1", "V2", "V3", "V4", "higher")
@@ -71,6 +72,7 @@ class WorldConfig:
             if isinstance(v, (int, float)) and not isinstance(v, bool) and v < 0:
                 raise ConfigError(f"world.{f.name} must be non-negative, got {v}")
         if min(self.image_hw, self.channels, self.n_tokens, self.d_token,
+               self.vae_hw, self.vae_channels, self.d_teacher,
                self.n_subjects, self.n_sessions, self.trials_per_session) < 1:
             raise ConfigError("world dims must be positive")
         if self.token_dim < self.pixel_dim:
@@ -129,8 +131,6 @@ class SubjectDataset:
     image_ids: np.ndarray      # [n_trials] int64
     session_index: np.ndarray  # [n_trials] int64, -1 for shared test
     is_shared: np.ndarray      # [n_trials] bool
-    norm_mean: np.ndarray | None = None
-    norm_std: np.ndarray | None = None
     normalized: bool = False
 
     @property
@@ -163,8 +163,6 @@ class SubjectDataset:
             image_ids=self.image_ids[keep].copy(),
             session_index=self.session_index[keep].copy(),
             is_shared=self.is_shared[keep].copy(),
-            norm_mean=self.norm_mean,
-            norm_std=self.norm_std,
             normalized=self.normalized,
         )
 
@@ -184,8 +182,11 @@ def _smooth_images(n: int, cfg: WorldConfig, rng: np.random.Generator) -> np.nda
     return imgs
 
 
-def generate_world(config: WorldConfig, seed: int) -> WorldSpec:
-    """Build the full synthetic world deterministically from (config, seed)."""
+def generate_world(config: WorldConfig, seed: int,
+                   images: np.ndarray | None = None) -> WorldSpec:
+    """Build the full synthetic world deterministically from (config, seed).
+
+    A stored dataset passes its own stimulus pool as ``images``."""
     config.validate()
     px = config.pixel_dim
 
@@ -218,7 +219,8 @@ def generate_world(config: WorldConfig, seed: int) -> WorldSpec:
         subjects[sid] = SubjectForwardModel(sid, A, config.noise_sigma)
         regions[sid] = _partition_regions(n_vox)
 
-    images = _smooth_images(config.n_images, config, seeds.rng(seed, "images"))
+    images = (_smooth_images(config.n_images, config, seeds.rng(seed, "images"))
+              if images is None else np.asarray(images, dtype=np.float64))
 
     shared_ids = np.arange(config.n_shared, dtype=np.int64)
     block = config.n_sessions * config.trials_per_session
@@ -313,8 +315,6 @@ def normalize(dataset: SubjectDataset) -> SubjectDataset:
         image_ids=dataset.image_ids.copy(),
         session_index=dataset.session_index.copy(),
         is_shared=dataset.is_shared.copy(),
-        norm_mean=mean,
-        norm_std=std,
         normalized=True,
     )
 
@@ -410,7 +410,7 @@ def secondary_token_encoder(world: WorldSpec, m_tokens: int, d_out: int,
 # -- persistence ---------------------------------------------------------
 
 _WORLD_FORMAT = "mindalign-world-v1"
-_DATASET_FORMAT = "mindalign-dataset-v1"
+DATASET_FILE = "dataset.bin"
 
 
 def world_config_items(config: WorldConfig, seed: int) -> dict[str, object]:
@@ -421,29 +421,12 @@ def world_config_items(config: WorldConfig, seed: int) -> dict[str, object]:
 
 
 def world_config_from_items(items: dict[str, str]) -> tuple[WorldConfig, int]:
-    kwargs = {}
-    for f in fields(WorldConfig):
-        key = f"world.{f.name}"
-        if key not in items:
-            raise ConfigError(f"world manifest missing key {key}")
-        raw = items[key]
-        caster = float if f.type == "float" else int
-        try:
-            kwargs[f.name] = caster(raw)
-        except ValueError:
-            raise ConfigError(f"key {key}: expected {f.type}, got {raw!r}") from None
-    if "world.seed" not in items:
-        raise ConfigError("world manifest missing key world.seed")
-    try:
-        seed = int(items["world.seed"])
-    except ValueError:
-        raise ConfigError("world.seed must be an integer") from None
-    return WorldConfig(**kwargs), seed
+    return (parse_fields(WorldConfig, items, "world"),
+            parse_value(items.get("world.seed"), "int", "world.seed"))
 
 
 def save_world_manifest(config: WorldConfig, seed: int, path: Path) -> None:
-    items = {"format": _WORLD_FORMAT}
-    items.update(world_config_items(config, seed))
+    items = {"format": _WORLD_FORMAT, **world_config_items(config, seed)}
     path.write_text(format_flat(items), encoding="utf-8")
 
 
@@ -455,77 +438,50 @@ def load_world_manifest(path: Path) -> WorldSpec:
     return generate_world(config, seed)
 
 
-def _write_f32(path: Path, arr: np.ndarray) -> None:
-    np.asarray(arr, dtype="<f4").tofile(path)
-
-
-def _read_f32(path: Path, shape: tuple[int, ...]) -> np.ndarray:
-    arr = np.fromfile(path, dtype="<f4")
-    expected = int(np.prod(shape))
-    if arr.size != expected:
-        raise DataError(f"{path}: has {arr.size} floats, expected {expected}")
-    return arr.reshape(shape).astype(np.float64)
-
-
-_SUBJECT_FIELDS = ("voxels", "image_ids", "session_index", "split",
-                   "norm_mean", "norm_std")
-
-
 def save_dataset_dir(out_dir: Path, world: WorldSpec,
                      datasets: dict[str, SubjectDataset]) -> None:
-    """Write the manifest plus one raw little-endian f32 file per field."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = world.config
-    items: dict[str, object] = {"format": _DATASET_FORMAT}
-    items.update(world_config_items(cfg, world.seed))
-    items["subjects"] = ",".join(datasets)
-    items["n_sessions"] = cfg.n_sessions
-    items["trials_per_session"] = cfg.trials_per_session
-    items["n_shared"] = cfg.n_shared
-    items["n_images"] = cfg.n_images
+    """Write the world block, the image pool and each subject's trials."""
+    arrays = {"images": world.images.astype("<f4")}
     for sid, ds in datasets.items():
         if not ds.normalized:
             raise DataError(f"dataset for {sid} must be normalized before saving")
-        items[f"subject.{sid}.n_voxels"] = ds.n_voxels
-        items[f"subject.{sid}.n_trials"] = ds.n_trials
-        _write_f32(out_dir / f"{sid}_voxels.f32", ds.voxels)
-        _write_f32(out_dir / f"{sid}_image_ids.f32", ds.image_ids)
-        _write_f32(out_dir / f"{sid}_session_index.f32", ds.session_index)
-        _write_f32(out_dir / f"{sid}_split.f32", ds.is_shared)
-        _write_f32(out_dir / f"{sid}_norm_mean.f32", ds.norm_mean)
-        _write_f32(out_dir / f"{sid}_norm_std.f32", ds.norm_std)
-    _write_f32(out_dir / "images.f32", world.images)
-    (out_dir / "manifest.txt").write_text(format_flat(items), encoding="utf-8")
+        arrays[f"voxels.{sid}"] = ds.voxels.astype("<f4")
+        arrays[f"image_ids.{sid}"] = ds.image_ids.astype("<i8")
+        arrays[f"session_index.{sid}"] = ds.session_index.astype("<i8")
+        arrays[f"split.{sid}"] = ds.is_shared
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_arrays(out_dir / DATASET_FILE, world_config_items(world.config, world.seed),
+                 arrays)
 
 
 def load_dataset_dir(data_dir: Path) -> tuple[WorldSpec, dict[str, SubjectDataset]]:
-    """Reload a dataset directory bit-exactly (world regenerated from its seed).
+    """Reload a dataset directory bit-exactly.
 
-    The stored image pool replaces the regenerated one so that downstream
-    targets are computed from exactly the serialized stimuli.
+    The world is regenerated from its stored block and seed around the stored
+    image pool, so downstream targets come from exactly the serialized stimuli.
     """
-    data_dir = Path(data_dir)
-    items = parse_flat((data_dir / "manifest.txt").read_text(encoding="utf-8"))
-    if items.get("format") != _DATASET_FORMAT:
-        raise ConfigError(f"{data_dir}: not a dataset directory")
-    config, seed = world_config_from_items(items)
-    world = generate_world(config, seed)
-    world.images = _read_f32(data_dir / "images.f32",
-                             (config.n_images, config.image_hw, config.image_hw,
-                              config.channels))
-    datasets: dict[str, SubjectDataset] = {}
-    for sid in items["subjects"].split(","):
-        n_vox = int(items[f"subject.{sid}.n_voxels"])
-        n_tr = int(items[f"subject.{sid}.n_trials"])
-        datasets[sid] = SubjectDataset(
-            subject_id=sid,
-            voxels=_read_f32(data_dir / f"{sid}_voxels.f32", (n_tr, n_vox)),
-            image_ids=_read_f32(data_dir / f"{sid}_image_ids.f32", (n_tr,)).astype(np.int64),
-            session_index=_read_f32(data_dir / f"{sid}_session_index.f32", (n_tr,)).astype(np.int64),
-            is_shared=_read_f32(data_dir / f"{sid}_split.f32", (n_tr,)).astype(bool),
-            norm_mean=_read_f32(data_dir / f"{sid}_norm_mean.f32", (n_vox,)),
-            norm_std=_read_f32(data_dir / f"{sid}_norm_std.f32", (n_vox,)),
-            normalized=True,
-        )
-    return world, datasets
+    path = Path(data_dir) / DATASET_FILE
+    items, arrays = read_arrays(path)
+    try:
+        config, seed = world_config_from_items(items)
+        world = generate_world(config, seed, images=arrays.get("images"))
+    except ConfigError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    layout = {"images": ("<f4", (config.n_images, config.image_hw, config.image_hw,
+                                 config.channels))}
+    sids = [name[len("voxels."):] for name in arrays if name.startswith("voxels.")]
+    for sid in sids:
+        n = arrays[f"voxels.{sid}"].shape[:1]
+        n_vox = world.subjects[sid].n_voxels if sid in world.subjects else -1
+        layout.update({f"voxels.{sid}": ("<f4", n + (n_vox,)), f"image_ids.{sid}": ("<i8", n),
+                       f"session_index.{sid}": ("<i8", n), f"split.{sid}": ("|b1", n)})
+    check_layout(path, arrays, layout)
+    for sid in sids:
+        ids = arrays[f"image_ids.{sid}"]
+        if np.any((ids < 0) | (ids >= config.n_images)):
+            raise DataError(f"{path}: {sid} has an image id outside [0, {config.n_images})")
+    return world, {sid: SubjectDataset(
+        subject_id=sid, voxels=arrays[f"voxels.{sid}"].astype(np.float64),
+        image_ids=arrays[f"image_ids.{sid}"], session_index=arrays[f"session_index.{sid}"],
+        is_shared=arrays[f"split.{sid}"], normalized=True) for sid in sids}

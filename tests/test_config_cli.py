@@ -1,15 +1,21 @@
 """Config parsing/echo round trips and the command-line surface."""
 
 import hashlib
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mindalign.cli import main
 from mindalign.config import echo_config, parse_config, with_overrides
 from mindalign.errors import ConfigError
+from mindalign.model import load_checkpoint, save_checkpoint
+from mindalign.store import read_arrays, write_arrays
+from mindalign.train import finetune
+from mindalign.world import DATASET_FILE, load_dataset_dir
 
 SMALL_CFG = """\
 seed = 11
@@ -84,6 +90,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("seed = 1\nthis is not a pair\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_rejected(self, value):
+        with pytest.raises(ConfigError, match="world.noise_sigma"):
+            parse_config(f"world.noise_sigma = {value}\n")
+
     def test_master_seed_derives_streams(self):
         a = parse_config("seed = 1\n")
         b = parse_config("seed = 2\n")
@@ -127,6 +138,47 @@ def checkpoint(workdir):
     return workdir / "pre0" / "checkpoint.me2c"
 
 
+def _rebytes(path: Path, change) -> Path:
+    path.write_bytes(change(path.read_bytes()))
+    return path
+
+
+def _edit(path: Path, edit) -> Path:
+    """Rewrite an array file after ``edit(items, arrays)`` changed its contents."""
+    items, arrays = read_arrays(path)
+    edit(items, arrays)
+    write_arrays(path, items, arrays)
+    return path
+
+
+# each breaks the checkpoint or the dataset file and returns the path it broke
+MALFORMED = {
+    "checkpoint cut at 7 bytes": lambda ck, ds: _rebytes(ck, lambda raw: raw[:7]),
+    "checkpoint cut at 40 bytes": lambda ck, ds: _rebytes(ck, lambda raw: raw[:40]),
+    "checkpoint cut at 400 bytes": lambda ck, ds: _rebytes(ck, lambda raw: raw[:400]),
+    "checkpoint cut at 4000 bytes": lambda ck, ds: _rebytes(ck, lambda raw: raw[:4000]),
+    "checkpoint one byte short": lambda ck, ds: _rebytes(ck, lambda raw: raw[:-1]),
+    "checkpoint with a trailing byte": lambda ck, ds: _rebytes(
+        ck, lambda raw: raw + b"\0"),
+    "checkpoint missing a key": lambda ck, ds: _edit(
+        ck, lambda items, arrays: items.pop("model.h")),
+    "checkpoint key not a number": lambda ck, ds: _edit(
+        ck, lambda items, arrays: items.update({"model.h": "wide"})),
+    "checkpoint config builds another parameter count": lambda ck, ds: _edit(
+        ck, lambda items, arrays: items.update({"model.d_retr": "9"})),
+    "checkpoint shapes differ from its config": lambda ck, ds: _edit(
+        ck, lambda items, arrays: arrays.update(
+            {"retrieval.fc2.W": arrays["retrieval.fc2.W"].T.copy()})),
+    "checkpoint names differ from its config": lambda ck, ds: _edit(
+        ck, lambda items, arrays: arrays.update({"prior.out.c": arrays.pop("prior.out.b")})),
+    "dataset truncated": lambda ck, ds: _rebytes(ds, lambda raw: raw[:len(raw) // 2]),
+    "dataset image id out of range": lambda ck, ds: _edit(
+        ds, lambda items, arrays: arrays["image_ids.s2"].__setitem__(0, 10 ** 6)),
+    "dataset missing a key": lambda ck, ds: _edit(
+        ds, lambda items, arrays: items.pop("world.n_shared")),
+}
+
+
 class TestCLI:
     def test_gen_world_deterministic_manifest(self, workdir):
         for name in ("w1", "w2"):
@@ -154,6 +206,16 @@ class TestCLI:
                      "--checkpoint", str(workdir / "ft" / "checkpoint.me2c"),
                      "--subject", "s2", "--out", str(workdir / "ev")]) == 0
         assert (workdir / "ev" / "report.txt").exists()
+        # one array file keeps the unquantized images next to the PPMs
+        recons = workdir / "ev" / "recons"
+        assert not list(recons.glob("*.f32"))
+        _, arrays = read_arrays(recons / "images.bin")
+        assert list(arrays) == ["recon", "truth"]
+        for name, images in arrays.items():
+            assert images.shape == (10, 8, 8, 3)
+            ppm = np.frombuffer((recons / f"{name}_003.ppm").read_bytes()[-192:], np.uint8)
+            np.testing.assert_allclose(ppm.reshape(8, 8, 3) / 255.0, images[3],
+                                       atol=0.5 / 255 + 1e-6)
         # rerunning each stage from its own echoed config reproduces outputs
         assert main(["finetune", "--config", str(workdir / "ft" / "config.txt"),
                      "--out", str(workdir / "ft2")]) == 0
@@ -250,3 +312,52 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "cannot read" in err and str(tmp_path / "missing") in err
+
+    def test_out_naming_a_file_exits_2(self, workdir, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["gen-world", "--config", str(workdir / "small.cfg"),
+                     "--out", str(taken)]) == 2
+        assert capsys.readouterr().err == (f"config error: cannot create {taken}: "
+                                           f"File exists\n")
+
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"\xff\xfeseed = 1\n")
+        assert main(["gen-world", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {bad}: not UTF-8 text")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_file_exits_3(self, workdir, checkpoint, tmp_path, capsys, case):
+        data = tmp_path / "data"
+        data.mkdir()
+        shutil.copy(workdir / "data" / DATASET_FILE, data / DATASET_FILE)
+        ck = tmp_path / "c.me2c"
+        shutil.copy(checkpoint, ck)
+        bad = MALFORMED[case](ck, data / DATASET_FILE)
+        assert main(["eval", "--config", str(workdir / "small.cfg"), "--data", str(data),
+                     "--checkpoint", str(ck), "--subject", "s2",
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {bad}: ")
+        assert err.count("\n") == 1
+
+    def test_cli_finetune_equals_library_finetune_of_loaded_files(self, workdir,
+                                                                  checkpoint, tmp_path):
+        """The files are the one f32 boundary: past them, the CLI and the library
+        take the same path bit for bit."""
+        assert main(["finetune", "--config", str(workdir / "small.cfg"),
+                     "--data", str(workdir / "data"), "--checkpoint", str(checkpoint),
+                     "--subject", "s2", "--sessions", "2",
+                     "--out", str(tmp_path / "cli")]) == 0
+        world, datasets = load_dataset_dir(workdir / "data")
+        mp, log = finetune(load_checkpoint(checkpoint), world, datasets["s2"], 2,
+                           parse_config(SMALL_CFG).train)
+        save_checkpoint(mp, tmp_path / "lib.me2c")
+        log.write_csv(tmp_path / "lib.csv")
+        assert ((tmp_path / "cli" / "checkpoint.me2c").read_bytes()
+                == (tmp_path / "lib.me2c").read_bytes())
+        assert ((tmp_path / "cli" / "trainlog.csv").read_bytes()
+                == (tmp_path / "lib.csv").read_bytes())

@@ -180,8 +180,7 @@ class TestEncodingModel:
         corrupted[ds.is_shared] = 1e6
         ds2 = type(ds)(subject_id=ds.subject_id, voxels=corrupted,
                        image_ids=ds.image_ids, session_index=ds.session_index,
-                       is_shared=ds.is_shared, norm_mean=ds.norm_mean,
-                       norm_std=ds.norm_std, normalized=True)
+                       is_shared=ds.is_shared, normalized=True)
         enc2 = EncodingModel.fit_from_dataset(world, ds2)
         np.testing.assert_array_equal(enc1.weights, enc2.weights)
 
@@ -309,17 +308,21 @@ class TestScalingNormalization:
 
 
 class TestImageSerialization:
-    def test_ppm_plus_sidecar_roundtrip(self, tmp_path):
-        from mindalign.evaluate import load_image_sidecar, save_image
+    def test_ppm_plus_array_file_roundtrip(self, tmp_path):
+        from mindalign.evaluate import save_image
+        from mindalign.store import read_arrays, write_arrays
         img = np.random.default_rng(0).random((8, 10, 3))
         save_image(tmp_path / "x.ppm", img)
         raw = (tmp_path / "x.ppm").read_bytes()
         assert raw.startswith(b"P6\n10 8\n255\n")
         assert len(raw) == len(b"P6\n10 8\n255\n") + 8 * 10 * 3
-        # the sidecar is lossless at f32 precision
-        back = load_image_sidecar(tmp_path / "x.ppm")
-        np.testing.assert_array_equal(back,
-                                      img.astype(np.float32).astype(np.float64))
+        assert [f.name for f in tmp_path.iterdir()] == ["x.ppm"]
+        # the array file keeps the image at f32 precision
+        write_arrays(tmp_path / "images.bin", {}, {"recon": img[None].astype("<f4")})
+        items, arrays = read_arrays(tmp_path / "images.bin")
+        assert items == {}
+        np.testing.assert_array_equal(arrays["recon"][0],
+                                      img.astype(np.float32))
 
     def test_non_rgb_rejected(self, tmp_path):
         from mindalign.evaluate import save_image

@@ -106,17 +106,17 @@ class TestMixCo:
     def test_convexity_bounds(self, seed):
         r = np.random.Generator(np.random.PCG64(seed))
         v = r.normal(size=(4, 6))
-        mix = mixco_augment(v, seed=seed)
+        mixed, mix = mixco_augment(v, seed=seed)
         lo = np.minimum(v, v[mix.perm])
         hi = np.maximum(v, v[mix.perm])
-        assert np.all(mix.mixed >= lo - 1e-12)
-        assert np.all(mix.mixed <= hi + 1e-12)
+        assert np.all(mixed >= lo - 1e-12)
+        assert np.all(mixed <= hi + 1e-12)
 
     def test_deterministic_and_valid(self):
         v = np.random.Generator(np.random.PCG64(3)).normal(size=(6, 5))
-        a = mixco_augment(v, seed=9)
-        b = mixco_augment(v, seed=9)
-        np.testing.assert_array_equal(a.mixed, b.mixed)
+        mixed_a, a = mixco_augment(v, seed=9)
+        mixed_b, b = mixco_augment(v, seed=9)
+        np.testing.assert_array_equal(mixed_a, mixed_b)
         assert np.all((a.lam >= 0) & (a.lam <= 1))
         assert sorted(a.perm.tolist()) == list(range(6))
 
@@ -130,8 +130,7 @@ class TestBiMixCo:
         r = np.random.Generator(np.random.PCG64(seed))
         lam = r.beta(0.15, 0.15, size=n) if lam is None else lam
         perm = r.permutation(n) if perm is None else perm
-        return MixCoBatch(mixed=np.zeros((n, 1)), lam=lam, perm=perm,
-                          beta_params=(0.15, 0.15))
+        return MixCoBatch(lam=lam, perm=perm)
 
     def test_lambda_one_reduces_to_hard_infonce(self):
         p = unit_rows((5, 6), 30)
@@ -297,8 +296,7 @@ class TestTotal:
 
 
 def test_label_matrix_handles_fixed_points():
-    mix = MixCoBatch(mixed=np.zeros((3, 1)), lam=np.array([0.3, 0.6, 0.9]),
-                     perm=np.array([0, 2, 1]), beta_params=(0.15, 0.15))
+    mix = MixCoBatch(lam=np.array([0.3, 0.6, 0.9]), perm=np.array([0, 2, 1]))
     labels = mixco_label_matrix(mix)
     # a self-partner row collapses to a hard label
     np.testing.assert_allclose(labels[0], [1.0, 0.0, 0.0])

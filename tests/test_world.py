@@ -68,6 +68,12 @@ class TestGenerateWorld:
         with pytest.raises(ConfigError):
             generate_world(WorldConfig(n_tokens=2, d_token=8), seed=0)
 
+    @pytest.mark.parametrize("field", ["vae_hw", "vae_channels", "d_teacher"])
+    def test_zero_latent_dims_rejected(self, field):
+        # a zero vae_hw used to crash model construction with an OverflowError
+        with pytest.raises(ConfigError, match="positive"):
+            WorldConfig(**{field: 0}).validate()
+
     def test_region_partition_disjoint_cover(self, world):
         for sid, fm in world.subjects.items():
             regions = world.regions[sid]
