@@ -38,7 +38,7 @@ from .model import (
     prior_sample,
     save_checkpoint,
 )
-from .optim import AdamW, AdamWState, adamw_step
+from .optim import AdamW
 from .tensor import Tensor, backward, gradcheck
 from .train import (
     TrainConfig,

@@ -105,8 +105,14 @@ def _resolve(args) -> RunConfig:
 def _out_dir(rc: RunConfig) -> Path:
     out = Path(rc.paths["out"])
     try:
+        echo = echo_config(rc).encode("utf-8")
+    except UnicodeEncodeError as exc:  # undecodable argv bytes arrive as surrogates
+        line = exc.object.splitlines()[exc.object.count("\n", 0, exc.start)]
+        raise ConfigError(f"not UTF-8 text, so the config echo cannot hold it: "
+                          f"{line!r}") from None
+    try:
         out.mkdir(parents=True, exist_ok=True)
-        (out / "config.txt").write_text(echo_config(rc), encoding="utf-8")
+        (out / "config.txt").write_bytes(echo)
     except OSError as exc:
         raise ConfigError(f"cannot create {out}: {exc.strerror or exc}") from None
     return out
@@ -116,11 +122,8 @@ def _load_data(rc: RunConfig):
     from .world import load_dataset_dir
     if not rc.paths["data"]:
         raise ConfigError("this command needs --data (or paths.data)")
-    world, datasets = _read(load_dataset_dir, Path(rc.paths["data"]), DataError)
-    if world.config != rc.world:
-        raise DataError("dataset directory was generated with a different "
-                        "world block than this config")
-    return world, datasets
+    return _read(lambda path: load_dataset_dir(path, rc.world), Path(rc.paths["data"]),
+                 DataError)
 
 
 def _load_checkpoint(rc: RunConfig):

@@ -181,18 +181,16 @@ def retrieval_eval(retr_embeddings: np.ndarray, target_embeddings: np.ndarray,
             "brain_retrieval": float(brain_acc.mean())}
 
 
-def _feature_matrix(images: np.ndarray, feature_map, world: WorldSpec) -> np.ndarray:
+def _feature_matrix(images: np.ndarray, feature_map: str, world: WorldSpec) -> np.ndarray:
     if feature_map == "lowlevel":
         return np.stack([box_blur(img).reshape(-1) for img in images])
     if feature_map == "highlevel":
         return token_targets(world, images)
-    if callable(feature_map):
-        return np.stack([np.asarray(feature_map(img)).reshape(-1) for img in images])
     raise ConfigError(f"unknown feature map {feature_map!r}")
 
 
 def two_way_identification(recons: np.ndarray, truths: np.ndarray,
-                           feature_map, world: WorldSpec | None = None) -> float:
+                           feature_map: str, world: WorldSpec | None = None) -> float:
     """Fraction of pairwise comparisons won by the matching reconstruction.
 
     For every item, its truth features are correlated with its own recon
@@ -373,6 +371,16 @@ def _protocol(eval_cfg: EvalConfig, n_test: int) -> dict[str, object]:
             "n_test": n_test}
 
 
+def _image_metrics(images: np.ndarray, truths: np.ndarray,
+                   world: WorldSpec) -> dict[str, float]:
+    """Mean pixcorr and ssim, and both two-way identifications, of images vs truths."""
+    n = truths.shape[0]
+    return {"pixcorr": float(np.mean([pixcorr(images[i], truths[i]) for i in range(n)])),
+            "ssim": float(np.mean([ssim(images[i], truths[i]) for i in range(n)])),
+            "twoway_low": two_way_identification(images, truths, "lowlevel", world),
+            "twoway_high": two_way_identification(images, truths, "highlevel", world)}
+
+
 def evaluate_model(mp: ModelParams, world: WorldSpec, dataset: SubjectDataset,
                    eval_cfg: EvalConfig, include_reconstruction: bool = True) -> EvalReport:
     """Score a model on a subject's shared test split.
@@ -395,18 +403,10 @@ def evaluate_model(mp: ModelParams, world: WorldSpec, dataset: SubjectDataset,
     if include_reconstruction:
         recs = reconstruct(mp, world, test_vox, sid,
                            seed=seeds.derive(eval_cfg.seed, "recon"))
-        final = recs["final"]
-        metrics["pixcorr"] = float(np.mean(
-            [pixcorr(final[i], test_imgs[i]) for i in range(n_test)]))
-        metrics["ssim"] = float(np.mean(
-            [ssim(final[i], test_imgs[i]) for i in range(n_test)]))
-        metrics["twoway_low"] = two_way_identification(final, test_imgs,
-                                                       "lowlevel", world)
-        metrics["twoway_high"] = two_way_identification(final, test_imgs,
-                                                        "highlevel", world)
+        metrics.update(_image_metrics(recs["final"], test_imgs, world))
         if eval_cfg.include_brain_corr:
             enc = EncodingModel.fit_from_dataset(world, dataset)
-            for region, r in brain_correlation(final, test_vox, enc).items():
+            for region, r in brain_correlation(recs["final"], test_vox, enc).items():
                 metrics[f"brain_corr_{region}"] = r
 
     return EvalReport(metrics=metrics, protocol=_protocol(eval_cfg, n_test))
@@ -423,16 +423,9 @@ def random_baseline_report(world: WorldSpec, dataset: SubjectDataset,
     eval_cfg.validate(n)
     rand_imgs = _smooth_images(n, world.config,
                                seeds.rng(eval_cfg.seed, "baseline-images"))
-    metrics = {
-        "image_retrieval": 1.0 / eval_cfg.pool_size,
-        "brain_retrieval": 1.0 / eval_cfg.pool_size,
-        "pixcorr": float(np.mean([pixcorr(rand_imgs[i], test_imgs[i])
-                                  for i in range(n)])),
-        "ssim": float(np.mean([ssim(rand_imgs[i], test_imgs[i])
-                               for i in range(n)])),
-        "twoway_low": two_way_identification(rand_imgs, test_imgs, "lowlevel", world),
-        "twoway_high": two_way_identification(rand_imgs, test_imgs, "highlevel", world),
-    }
+    metrics = {"image_retrieval": 1.0 / eval_cfg.pool_size,
+               "brain_retrieval": 1.0 / eval_cfg.pool_size,
+               **_image_metrics(rand_imgs, test_imgs, world)}
     return EvalReport(metrics=metrics, protocol=_protocol(eval_cfg, n))
 
 

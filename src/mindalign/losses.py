@@ -59,10 +59,6 @@ class LowLevelTargets:
             raise ValueError("teacher shapes differ")
 
 
-def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-
-
 def _check_contrastive_inputs(pred: Tensor, target: Tensor, tau: float) -> None:
     if pred.shape != target.shape or pred.ndim != 2:
         raise ValueError(f"embedding shapes differ: {pred.shape} vs {target.shape}")
@@ -83,7 +79,7 @@ def soft_clip_loss(pred, target, tau: float) -> Tensor:
     Both retrieval directions (pred rows scored against targets, and the
     transpose) are averaged; the soft labels are constants.
     """
-    pred, target = _lift(pred), _lift(target)
+    pred, target = Tensor.lift(pred), Tensor.lift(target)
     _check_contrastive_inputs(pred, target, tau)
     sim_tt = target.data @ target.data.T / tau
     z = sim_tt - sim_tt.max(axis=1, keepdims=True)
@@ -127,7 +123,7 @@ def mixco_label_matrix(mix: MixCoBatch) -> np.ndarray:
 
 def bimixco_loss(pred, target, mix: MixCoBatch, tau: float) -> Tensor:
     """Bidirectional InfoNCE over mixture labels (hard-label phase)."""
-    pred, target = _lift(pred), _lift(target)
+    pred, target = Tensor.lift(pred), Tensor.lift(target)
     _check_contrastive_inputs(pred, target, tau)
     labels = mixco_label_matrix(mix)
     logits = scale(matmul(pred, transpose(target)), 1.0 / tau)
@@ -159,7 +155,7 @@ def lowlevel_loss(targets: LowLevelTargets, tau: float) -> Tensor:
 
 def total_loss(prior_l, contrastive_l, lowlevel_l, w: LossWeights) -> Tensor:
     """prior + alpha1 * contrastive + alpha2 * lowlevel, left to right."""
-    p, c, low = _lift(prior_l), _lift(contrastive_l), _lift(lowlevel_l)
+    p, c, low = Tensor.lift(prior_l), Tensor.lift(contrastive_l), Tensor.lift(lowlevel_l)
     return add(add(p, scale(c, w.alpha1)), scale(low, w.alpha2))
 
 

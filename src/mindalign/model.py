@@ -131,17 +131,6 @@ class ModelParams:
 # -- initialization -------------------------------------------------------
 
 
-def _uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(in_dim)
-    return rng.uniform(-bound, bound, size=(out_dim, in_dim))
-
-
-def _init_linear(params: dict[str, Tensor], name: str, out_dim: int, in_dim: int,
-                 rng: np.random.Generator) -> None:
-    params[f"{name}.W"] = Tensor(_uniform(rng, out_dim, in_dim), requires_grad=True)
-    params[f"{name}.b"] = Tensor(np.zeros(out_dim), requires_grad=True)
-
-
 def _ll_stage_channels(world_cfg: WorldConfig, mcfg: ModelConfig) -> list[int]:
     """Channel plan for the upsampler: halve per doubling, land on vae channels."""
     ratio = world_cfg.vae_hw // mcfg.ll_seed_hw
@@ -155,76 +144,104 @@ def _ll_stage_channels(world_cfg: WorldConfig, mcfg: ModelConfig) -> list[int]:
     return chans
 
 
-def init_model(world_cfg: WorldConfig, mcfg: ModelConfig,
-               subjects: dict[str, int], seed: int) -> ModelParams:
-    """Fresh seed-controlled parameters for the given subjects."""
-    mcfg.validate()
-    D = world_cfg.token_dim
-    h = mcfg.h
-    params: dict[str, Tensor] = {}
+def parameter_shapes(world_cfg: WorldConfig, mcfg: ModelConfig,
+                     subjects: dict[str, int]) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter a config builds, in initialization order.
+
+    Weights are [out, in]. Computing the table draws nothing, so a loader can
+    check a file against it before it builds anything.
+    """
+    D, h = world_cfg.token_dim, mcfg.h
+    shapes: dict[str, tuple[int, ...]] = {}
+
+    def linear(name: str, out_dim: int, in_dim: int) -> None:
+        shapes[f"{name}.W"] = (out_dim, in_dim)
+        shapes[f"{name}.b"] = (out_dim,)
 
     for sid, n_vox in subjects.items():
-        _init_subject_ridge(params, sid, n_vox, h, mcfg, seeds.rng(seed, "ridge", sid))
-
-    rng = seeds.rng(seed, "shared")
+        shapes.update(_ridge_shapes(sid, n_vox, mcfg))
     for i in range(mcfg.n_blocks):
-        params[f"backbone.block{i}.ln_g"] = Tensor(np.ones(h), requires_grad=True)
-        params[f"backbone.block{i}.ln_b"] = Tensor(np.zeros(h), requires_grad=True)
-        _init_linear(params, f"backbone.block{i}.fc1", h, h, rng)
-        _init_linear(params, f"backbone.block{i}.fc2", h, h, rng)
-    params["backbone.to_tokens"] = Tensor(_uniform(rng, D, h), requires_grad=True)
+        shapes[f"backbone.block{i}.ln_g"] = (h,)
+        shapes[f"backbone.block{i}.ln_b"] = (h,)
+        linear(f"backbone.block{i}.fc1", h, h)
+        linear(f"backbone.block{i}.fc2", h, h)
+    shapes["backbone.to_tokens"] = (D, h)
 
-    params["prior.temb"] = Tensor(
-        _uniform(rng, mcfg.t_steps, mcfg.d_temb), requires_grad=True)
-    _init_linear(params, "prior.cond.fc1", mcfg.d_cond, D, rng)
-    _init_linear(params, "prior.cond.fc2", mcfg.d_cond, mcfg.d_cond, rng)
-    _init_linear(params, "prior.inp", mcfg.denoiser_hidden,
-                 D + mcfg.d_temb + mcfg.d_cond, rng)
+    shapes["prior.temb"] = (mcfg.t_steps, mcfg.d_temb)
+    linear("prior.cond.fc1", mcfg.d_cond, D)
+    linear("prior.cond.fc2", mcfg.d_cond, mcfg.d_cond)
+    linear("prior.inp", mcfg.denoiser_hidden, D + mcfg.d_temb + mcfg.d_cond)
     for i in range(mcfg.denoiser_blocks):
-        _init_linear(params, f"prior.res{i}", mcfg.denoiser_hidden,
-                     mcfg.denoiser_hidden, rng)
-    _init_linear(params, "prior.out", D, mcfg.denoiser_hidden, rng)
+        linear(f"prior.res{i}", mcfg.denoiser_hidden, mcfg.denoiser_hidden)
+    linear("prior.out", D, mcfg.denoiser_hidden)
 
-    _init_linear(params, "retrieval.fc1", mcfg.retr_hidden, D, rng)
-    _init_linear(params, "retrieval.fc2", mcfg.d_retr, mcfg.retr_hidden, rng)
+    linear("retrieval.fc1", mcfg.retr_hidden, D)
+    linear("retrieval.fc2", mcfg.d_retr, mcfg.retr_hidden)
     # image-side embedding map: frozen, mirroring the locked target space the
     # brain-side projector is contrastively aligned to
-    params["retrieval.target.W"] = Tensor(
-        rng.normal(size=(mcfg.d_retr, D)) / np.sqrt(D), requires_grad=False)
+    shapes["retrieval.target.W"] = (mcfg.d_retr, D)
 
-    _init_linear(params, "lowlevel.trunk.fc1", mcfg.ll_hidden, D, rng)
-    _init_linear(params, "lowlevel.trunk.fc2", mcfg.ll_trunk, mcfg.ll_hidden, rng)
+    linear("lowlevel.trunk.fc1", mcfg.ll_hidden, D)
+    linear("lowlevel.trunk.fc2", mcfg.ll_trunk, mcfg.ll_hidden)
     chans = _ll_stage_channels(world_cfg, mcfg)
-    _init_linear(params, "lowlevel.seed",
-                 mcfg.ll_seed_hw * mcfg.ll_seed_hw * chans[0], mcfg.ll_trunk, rng)
+    linear("lowlevel.seed", mcfg.ll_seed_hw * mcfg.ll_seed_hw * chans[0], mcfg.ll_trunk)
     for i, (cin, cout) in enumerate(zip(chans[:-1], chans[1:])):
-        _init_linear(params, f"lowlevel.stage{i}", cout, cin, rng)
-    _init_linear(params, "lowlevel.teacher.fc1", mcfg.teacher_hidden, mcfg.ll_trunk, rng)
-    _init_linear(params, "lowlevel.teacher.fc2", world_cfg.d_teacher,
-                 mcfg.teacher_hidden, rng)
+        linear(f"lowlevel.stage{i}", cout, cin)
+    linear("lowlevel.teacher.fc1", mcfg.teacher_hidden, mcfg.ll_trunk)
+    linear("lowlevel.teacher.fc2", world_cfg.d_teacher, mcfg.teacher_hidden)
 
-    _init_linear(params, "converter.token", mcfg.m_tokens, world_cfg.n_tokens, rng)
-    _init_linear(params, "converter.feat", mcfg.d_token_b, world_cfg.d_token, rng)
+    linear("converter.token", mcfg.m_tokens, world_cfg.n_tokens)
+    linear("converter.feat", mcfg.d_token_b, world_cfg.d_token)
+    return shapes
 
+
+def _ridge_shapes(sid: str, n_vox: int, mcfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    shapes = {f"ridge.{sid}.W": (mcfg.h, n_vox), f"ridge.{sid}.b": (mcfg.h,)}
+    if mcfg.mlp_ridge:
+        shapes.update({f"ridge.{sid}.W2": (mcfg.h, mcfg.h), f"ridge.{sid}.b2": (mcfg.h,)})
+    return shapes
+
+
+def _draw(shapes: dict[str, tuple[int, ...]], rng: np.random.Generator) -> dict[str, Tensor]:
+    """Initial values in table order: vectors are zeros (layernorm gains ones),
+    matrices uniform in +-1/sqrt(fan-in), the frozen map gaussian."""
+    params: dict[str, Tensor] = {}
+    for name, shape in shapes.items():
+        frozen = is_frozen_parameter(name)
+        if len(shape) == 1:
+            data = np.ones(shape) if name.endswith(".ln_g") else np.zeros(shape)
+        elif frozen:
+            data = rng.normal(size=shape) / np.sqrt(shape[1])
+        else:
+            bound = 1.0 / np.sqrt(shape[1])
+            data = rng.uniform(-bound, bound, size=shape)
+        params[name] = Tensor(data, requires_grad=not frozen)
+    return params
+
+
+def init_model(world_cfg: WorldConfig, mcfg: ModelConfig,
+               subjects: dict[str, int], seed: int) -> ModelParams:
+    """Fresh seed-controlled parameters for the given subjects.
+
+    Each ridge layer draws from its own seed stream, the shared parameters
+    from one more.
+    """
+    mcfg.validate()
+    shapes = parameter_shapes(world_cfg, mcfg, subjects)
+    params: dict[str, Tensor] = {}
+    for sid, n_vox in subjects.items():
+        params.update(_draw(_ridge_shapes(sid, n_vox, mcfg), seeds.rng(seed, "ridge", sid)))
+    params.update(_draw({k: v for k, v in shapes.items() if k not in params},
+                        seeds.rng(seed, "shared")))
     return ModelParams(world_cfg=world_cfg, mcfg=mcfg, subjects=dict(subjects),
                        params=params, schedule=make_schedule(mcfg.schedule, mcfg.t_steps))
-
-
-def _init_subject_ridge(params: dict[str, Tensor], sid: str, n_vox: int, h: int,
-                        mcfg: ModelConfig, rng: np.random.Generator) -> None:
-    params[f"ridge.{sid}.W"] = Tensor(_uniform(rng, h, n_vox), requires_grad=True)
-    params[f"ridge.{sid}.b"] = Tensor(np.zeros(h), requires_grad=True)
-    if mcfg.mlp_ridge:
-        params[f"ridge.{sid}.W2"] = Tensor(_uniform(rng, h, h), requires_grad=True)
-        params[f"ridge.{sid}.b2"] = Tensor(np.zeros(h), requires_grad=True)
 
 
 def add_subject(mp: ModelParams, sid: str, n_vox: int, seed: int) -> None:
     """Initialize a fresh ridge entry for a new subject."""
     if sid in mp.subjects:
         raise DataError(f"subject {sid} already present")
-    _init_subject_ridge(mp.params, sid, n_vox, mp.mcfg.h, mp.mcfg,
-                        seeds.rng(seed, "ridge", sid))
+    mp.params.update(_draw(_ridge_shapes(sid, n_vox, mp.mcfg), seeds.rng(seed, "ridge", sid)))
     mp.subjects[sid] = n_vox
 
 
@@ -263,10 +280,6 @@ def expected_parameter_count(world_cfg: WorldConfig, mcfg: ModelConfig,
 # -- forward passes -------------------------------------------------------
 
 
-def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-
-
 def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     """x @ W^T + b with W stored [out, in]."""
     return add(matmul(x, transpose(W)), b)
@@ -277,7 +290,7 @@ def ridge_forward(mp: ModelParams, subject_id: str, voxels,
     """Per-subject linear map into the shared latent. [B, V] -> [B, h]."""
     if subject_id not in mp.subjects:
         raise DataError(f"unknown subject {subject_id!r}")
-    x = _lift(voxels)
+    x = Tensor.lift(voxels)
     if x.ndim != 2 or x.shape[1] != mp.subjects[subject_id]:
         raise ShapeError(f"voxels shape {x.shape} does not match subject "
                          f"{subject_id} ({mp.subjects[subject_id]} voxels)")
@@ -296,7 +309,7 @@ def backbone_forward(mp: ModelParams, latent) -> Tensor:
 
     [B, h] -> [B, n_tokens, d_token].
     """
-    x = _lift(latent)
+    x = Tensor.lift(latent)
     p = mp.params
     for i in range(mp.mcfg.n_blocks):
         name = f"backbone.block{i}"
@@ -309,7 +322,7 @@ def backbone_forward(mp: ModelParams, latent) -> Tensor:
 
 
 def _flat_tokens(mp: ModelParams, tokens) -> Tensor:
-    t = _lift(tokens)
+    t = Tensor.lift(tokens)
     if t.ndim == 3:
         t = reshape(t, (t.shape[0], mp.token_dim))
     if t.ndim != 2 or t.shape[1] != mp.token_dim:
@@ -459,7 +472,7 @@ def converter_forward(mp: ModelParams, tokens_a) -> Tensor:
     [B, n_tokens, d_token] -> [B, m_tokens, d_token_b].
     """
     p = mp.params
-    t = _lift(tokens_a)
+    t = Tensor.lift(tokens_a)
     if t.ndim == 2:
         t = reshape(t, (1,) + t.shape)
     b, n, d = t.shape
@@ -500,17 +513,19 @@ def load_checkpoint(path: Path) -> ModelParams:
         mcfg = parse_fields(ModelConfig, items, "model")
         world_cfg.validate()
         mcfg.validate()
-        # the file's size bounds what the template below may allocate
+        # the file's size bounds the layout table and the schedule built below
         if expected_parameter_count(world_cfg, mcfg, subjects) != sum(
                 arr.size for arr in arrays.values()):
             raise DataError(f"{path}: parameter count differs from what its config builds")
-        mp = init_model(world_cfg, mcfg, subjects, seed=0)
+        check_layout(path, arrays, {name: ("<f4", shape) for name, shape
+                                    in parameter_shapes(world_cfg, mcfg, subjects).items()})
+        schedule = make_schedule(mcfg.schedule, mcfg.t_steps)
     except ConfigError as exc:
         raise DataError(f"{path}: {exc}") from None
-    check_layout(path, arrays, {name: ("<f4", p.shape) for name, p in mp.params.items()})
-    mp.params = {name: Tensor(arr.astype(np.float64),
-                              requires_grad=not is_frozen_parameter(name))
-                 for name, arr in arrays.items()}
-    mp.meta = {k[len("meta."):]: v for k, v in items.items() if k.startswith("meta.")}
-    mp.meta["world_seed"] = str(world_seed)
-    return mp
+    meta = {k[len("meta."):]: v for k, v in items.items() if k.startswith("meta.")}
+    meta["world_seed"] = str(world_seed)
+    return ModelParams(world_cfg=world_cfg, mcfg=mcfg, subjects=subjects, schedule=schedule,
+                       params={name: Tensor(arr.astype(np.float64),
+                                            requires_grad=not is_frozen_parameter(name))
+                               for name, arr in arrays.items()},
+                       meta=meta)

@@ -3,80 +3,63 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .tensor import ShapeError, Tensor
 
 
-@dataclass
-class AdamWState:
-    """Per-parameter moment buffers and hyperparameters."""
-
-    lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
-    step_count: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-
-
-def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
-               state: AdamWState,
-               decay_mask: dict[str, bool] | None = None) -> AdamWState:
-    """One decoupled-weight-decay update, in place on `params`.
+class AdamW:
+    """Decoupled-weight-decay Adam over a named parameter dict, in place.
 
     `decay_mask` selects which parameters receive weight decay (all by
-    default). Parameters without a gradient entry are left untouched by the
-    adaptive step but still decay if masked in.
+    default). A parameter without a gradient skips the adaptive step but
+    still decays if masked in. `lr` may be reassigned between steps.
     """
-    if state.lr <= 0:
-        raise ValueError("lr must be positive")
-    state.step_count += 1
-    t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
-    for name, p in params.items():
-        g = grads.get(name)
-        decay = state.weight_decay if (decay_mask is None or decay_mask.get(name, False)) else 0.0
-        if decay:
-            p.data -= state.lr * decay * p.data
-        if g is None:
-            continue
-        if g.shape != p.data.shape:
-            raise ShapeError(f"grad shape {g.shape} != param shape {p.data.shape} for {name}")
-        m = state.m.setdefault(name, np.zeros_like(p.data))
-        v = state.v.setdefault(name, np.zeros_like(p.data))
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-    return state
-
-
-class AdamW:
-    """Owns AdamWState for a named parameter dict."""
 
     def __init__(self, params: dict[str, Tensor], lr: float = 3e-4,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.0,
                  decay_mask: dict[str, bool] | None = None):
         self.params = params
-        self.state = AdamWState(lr=lr, beta1=betas[0], beta2=betas[1], eps=eps,
-                                weight_decay=weight_decay)
+        self.lr = lr
+        self.beta1, self.beta2 = betas
+        self.eps = eps
+        self.weight_decay = weight_decay
         self.decay_mask = decay_mask
+        self.step_count = 0
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
 
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.zero_grad()
 
     def step(self) -> None:
-        grads = {k: p.grad for k, p in self.params.items() if p.grad is not None}
-        adamw_step(self.params, grads, self.state, self.decay_mask)
+        if self.lr <= 0:
+            raise ValueError("lr must be positive")
+        self.step_count += 1
+        t = self.step_count
+        bc1 = 1.0 - self.beta1 ** t
+        bc2 = 1.0 - self.beta2 ** t
+        for name, p in self.params.items():
+            g = p.grad
+            decay = self.weight_decay if (self.decay_mask is None
+                                          or self.decay_mask.get(name, False)) else 0.0
+            if decay:
+                p.data -= self.lr * decay * p.data
+            if g is None:
+                continue
+            if g.shape != p.data.shape:
+                raise ShapeError(f"grad shape {g.shape} != param shape {p.data.shape} "
+                                 f"for {name}")
+            m = self.m.setdefault(name, np.zeros_like(p.data))
+            v = self.v.setdefault(name, np.zeros_like(p.data))
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 def warmup_cosine_lr(step: int, total_steps: int, base_lr: float,

@@ -32,16 +32,11 @@ __all__ = [
     "concat",
     "tensor_sum",
     "tensor_mean",
-    "softmax",
-    "log",
-    "exp",
     "gelu",
-    "silu",
     "layernorm",
     "l2_normalize",
     "l1_loss",
     "mse_loss",
-    "cosine_similarity",
     "cross_entropy_soft",
     "backward",
     "gradcheck",
@@ -61,13 +56,6 @@ class NonFiniteError(FloatingPointError):
 
 class GraphError(RuntimeError):
     """Graph misuse: backward on a non-scalar without upstream, etc."""
-
-
-def _as_array(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError("non-finite value in tensor data")
-    return arr
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -93,7 +81,10 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
+        # the one finiteness check: every op's output passes through here
+        if not np.all(np.isfinite(self.data)):
+            raise NonFiniteError("non-finite value in tensor data")
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
@@ -105,6 +96,11 @@ class Tensor:
         if out.requires_grad:
             out._parents = parents
         return out
+
+    @staticmethod
+    def lift(x) -> "Tensor":
+        """``x`` itself if it is a Tensor, else a constant Tensor of it."""
+        return x if isinstance(x, Tensor) else Tensor(x)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -207,16 +203,12 @@ class Tensor:
         return tensor_mean(self, axis, keepdims)
 
 
-def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 # -- elementwise and structural ops -------------------------------------
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    out = Tensor._from_op(_as_array(a.data + b.data), (a, b))
+    a, b = Tensor.lift(a), Tensor.lift(b)
+    out = Tensor._from_op(a.data + b.data, (a, b))
 
     def _bwd():
         a._acc(_unbroadcast(out.grad, a.shape))
@@ -227,8 +219,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    out = Tensor._from_op(_as_array(a.data - b.data), (a, b))
+    a, b = Tensor.lift(a), Tensor.lift(b)
+    out = Tensor._from_op(a.data - b.data, (a, b))
 
     def _bwd():
         a._acc(_unbroadcast(out.grad, a.shape))
@@ -239,8 +231,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    out = Tensor._from_op(_as_array(a.data * b.data), (a, b))
+    a, b = Tensor.lift(a), Tensor.lift(b)
+    out = Tensor._from_op(a.data * b.data, (a, b))
 
     def _bwd():
         a._acc(_unbroadcast(out.grad * b.data, a.shape))
@@ -251,9 +243,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    a = _lift(a)
+    a = Tensor.lift(a)
     c = float(c)
-    out = Tensor._from_op(_as_array(a.data * c), (a,))
+    out = Tensor._from_op(a.data * c, (a,))
 
     def _bwd():
         a._acc(out.grad * c)
@@ -263,12 +255,12 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
+    a, b = Tensor.lift(a), Tensor.lift(b)
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError("matmul expects 2-D operands")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    out = Tensor._from_op(_as_array(a.data @ b.data), (a, b))
+    out = Tensor._from_op(a.data @ b.data, (a, b))
 
     def _bwd():
         a._acc(out.grad @ b.data.T)
@@ -279,7 +271,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:
-    a = _lift(a)
+    a = Tensor.lift(a)
+    # a contiguous copy, not a view: the BLAS calls downstream, and so the
+    # bits of every result, depend on the operand layout
     out = Tensor._from_op(np.transpose(a.data, axes).copy(), (a,))
     inv = None if axes is None else tuple(np.argsort(axes))
 
@@ -291,8 +285,8 @@ def transpose(a: Tensor, axes=None) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    a = _lift(a)
-    out = Tensor._from_op(a.data.reshape(shape).copy(), (a,))
+    a = Tensor.lift(a)
+    out = Tensor._from_op(a.data.reshape(shape), (a,))
 
     def _bwd():
         a._acc(out.grad.reshape(a.shape))
@@ -302,8 +296,8 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def tensor_slice(a: Tensor, idx) -> Tensor:
-    a = _lift(a)
-    out = Tensor._from_op(np.asarray(a.data[idx]).copy(), (a,))
+    a = Tensor.lift(a)
+    out = Tensor._from_op(a.data[idx], (a,))
 
     def _bwd():
         g = np.zeros_like(a.data)
@@ -315,7 +309,7 @@ def tensor_slice(a: Tensor, idx) -> Tensor:
 
 
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    ts = [_lift(t) for t in tensors]
+    ts = [Tensor.lift(t) for t in tensors]
     out = Tensor._from_op(np.concatenate([t.data for t in ts], axis=axis), tuple(ts))
     sizes = [t.shape[axis] for t in ts]
     offsets = np.cumsum([0] + sizes)
@@ -331,21 +325,21 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 
 
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = _lift(a)
-    out = Tensor._from_op(np.asarray(a.data.sum(axis=axis, keepdims=keepdims)), (a,))
+    a = Tensor.lift(a)
+    out = Tensor._from_op(a.data.sum(axis=axis, keepdims=keepdims), (a,))
 
     def _bwd():
         g = out.grad
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        a._acc(np.broadcast_to(g, a.shape).copy())
+        a._acc(np.broadcast_to(g, a.shape))
 
     out._backward_fn = _bwd
     return out
 
 
 def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = _lift(a)
+    a = Tensor.lift(a)
     count = a.size if axis is None else np.prod([a.shape[ax] for ax in np.atleast_1d(axis)])
     return scale(tensor_sum(a, axis, keepdims), 1.0 / float(count))
 
@@ -353,34 +347,11 @@ def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # -- nonlinearities ------------------------------------------------------
 
 
-def log(a: Tensor) -> Tensor:
-    a = _lift(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = Tensor._from_op(_as_array(np.log(a.data)), (a,))
-
-    def _bwd():
-        a._acc(out.grad / a.data)
-
-    out._backward_fn = _bwd
-    return out
-
-
-def exp(a: Tensor) -> Tensor:
-    a = _lift(a)
-    out = Tensor._from_op(_as_array(np.exp(a.data)), (a,))
-
-    def _bwd():
-        a._acc(out.grad * out.data)
-
-    out._backward_fn = _bwd
-    return out
-
-
 def gelu(a: Tensor) -> Tensor:
     """Exact gaussian-gated linear unit x * Phi(x)."""
-    a = _lift(a)
+    a = Tensor.lift(a)
     phi = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
-    out = Tensor._from_op(_as_array(a.data * phi), (a,))
+    out = Tensor._from_op(a.data * phi, (a,))
 
     def _bwd():
         pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT2PI
@@ -390,36 +361,9 @@ def gelu(a: Tensor) -> Tensor:
     return out
 
 
-def silu(a: Tensor) -> Tensor:
-    a = _lift(a)
-    sig = 1.0 / (1.0 + np.exp(-a.data))
-    out = Tensor._from_op(_as_array(a.data * sig), (a,))
-
-    def _bwd():
-        a._acc(out.grad * (sig * (1.0 + a.data * (1.0 - sig))))
-
-    out._backward_fn = _bwd
-    return out
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    a = _lift(a)
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor._from_op(_as_array(s), (a,))
-
-    def _bwd():
-        g = out.grad
-        a._acc(s * (g - (g * s).sum(axis=axis, keepdims=True)))
-
-    out._backward_fn = _bwd
-    return out
-
-
 def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Layer normalization over the last axis with learnable gain/bias."""
-    x, gain, bias = _lift(x), _lift(gain), _lift(bias)
+    x, gain, bias = Tensor.lift(x), Tensor.lift(gain), Tensor.lift(bias)
     if gain.shape != (x.shape[-1],) or bias.shape != (x.shape[-1],):
         raise ShapeError("layernorm gain/bias must match last axis")
     mu = x.data.mean(axis=-1, keepdims=True)
@@ -427,7 +371,7 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = Tensor._from_op(_as_array(gain.data * xhat + bias.data), (x, gain, bias))
+    out = Tensor._from_op(gain.data * xhat + bias.data, (x, gain, bias))
 
     def _bwd():
         dy = out.grad
@@ -444,10 +388,10 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
 
 def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
     """Rows scaled by max(L2 norm, eps); exactly unit whenever norm >= eps."""
-    x = _lift(x)
+    x = Tensor.lift(x)
     r = np.sqrt((x.data * x.data).sum(axis=axis, keepdims=True))
     d = np.maximum(r, eps)
-    out = Tensor._from_op(_as_array(x.data / d), (x,))
+    out = Tensor._from_op(x.data / d, (x,))
 
     def _bwd():
         g = out.grad
@@ -464,11 +408,11 @@ def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
 
 def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
     """Mean absolute difference over all elements."""
-    pred, target = _lift(pred), _lift(target)
+    pred, target = Tensor.lift(pred), Tensor.lift(target)
     if pred.shape != target.shape:
         raise ShapeError(f"l1_loss shapes differ: {pred.shape} vs {target.shape}")
     diff = pred.data - target.data
-    out = Tensor._from_op(np.asarray(np.abs(diff).mean()), (pred, target))
+    out = Tensor._from_op(np.abs(diff).mean(), (pred, target))
     n = pred.size
 
     def _bwd():
@@ -482,11 +426,11 @@ def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     """Mean squared difference over all elements."""
-    pred, target = _lift(pred), _lift(target)
+    pred, target = Tensor.lift(pred), Tensor.lift(target)
     if pred.shape != target.shape:
         raise ShapeError(f"mse_loss shapes differ: {pred.shape} vs {target.shape}")
     diff = pred.data - target.data
-    out = Tensor._from_op(np.asarray((diff * diff).mean()), (pred, target))
+    out = Tensor._from_op((diff * diff).mean(), (pred, target))
     n = pred.size
 
     def _bwd():
@@ -498,12 +442,6 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     return out
 
 
-def cosine_similarity(a: Tensor, b: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
-    """Per-row cosine similarity along `axis` (composed from primitives)."""
-    return tensor_sum(mul(l2_normalize(a, axis, eps), l2_normalize(b, axis, eps)),
-                      axis=axis)
-
-
 def cross_entropy_soft(logits: Tensor, soft_targets: np.ndarray | Tensor,
                        axis: int = -1) -> Tensor:
     """Mean soft-target cross-entropy: mean over rows of -sum t * log_softmax(z).
@@ -511,7 +449,7 @@ def cross_entropy_soft(logits: Tensor, soft_targets: np.ndarray | Tensor,
     Soft targets are treated as constants (no gradient flows into them); row
     masses need not sum to one.
     """
-    logits = _lift(logits)
+    logits = Tensor.lift(logits)
     t = soft_targets.data if isinstance(soft_targets, Tensor) else np.asarray(soft_targets, dtype=np.float64)
     if t.shape != logits.shape:
         raise ShapeError(f"targets shape {t.shape} != logits shape {logits.shape}")
@@ -519,7 +457,7 @@ def cross_entropy_soft(logits: Tensor, soft_targets: np.ndarray | Tensor,
     lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
     logq = z - lse
     n_rows = logits.size // logits.shape[axis]
-    out = Tensor._from_op(np.asarray(-(t * logq).sum() / n_rows), (logits,))
+    out = Tensor._from_op(-(t * logq).sum() / n_rows, (logits,))
 
     def _bwd():
         q = np.exp(logq)

@@ -152,7 +152,7 @@ def _train_loop(world: WorldSpec, datasets: dict[str, SubjectDataset],
             total = total_loss(*loss_parts, cfg.weights)
             opt.zero_grad()
             total.backward()
-            opt.state.lr = warmup_cosine_lr(it, total_iters, cfg.lr, cfg.warmup_frac)
+            opt.lr = warmup_cosine_lr(it, total_iters, cfg.lr, cfg.warmup_frac)
             opt.step()
             log.add(it, phase, loss_parts[0].item(), loss_parts[1].item(),
                     loss_parts[2].item(), total.item())

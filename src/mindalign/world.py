@@ -455,16 +455,22 @@ def save_dataset_dir(out_dir: Path, world: WorldSpec,
                  arrays)
 
 
-def load_dataset_dir(data_dir: Path) -> tuple[WorldSpec, dict[str, SubjectDataset]]:
+def load_dataset_dir(data_dir: Path, config: WorldConfig
+                     ) -> tuple[WorldSpec, dict[str, SubjectDataset]]:
     """Reload a dataset directory bit-exactly.
 
-    The world is regenerated from its stored block and seed around the stored
-    image pool, so downstream targets come from exactly the serialized stimuli.
+    The stored world block must equal ``config``, the block the caller runs
+    with; it is compared before anything is built from it. The world is then
+    regenerated from that block and the stored seed around the stored image
+    pool, so downstream targets come from exactly the serialized stimuli.
     """
     path = Path(data_dir) / DATASET_FILE
     items, arrays = read_arrays(path)
     try:
-        config, seed = world_config_from_items(items)
+        stored, seed = world_config_from_items(items)
+        if stored != config:
+            raise DataError(f"{path}: dataset directory was generated with a "
+                            "different world block than this config")
         world = generate_world(config, seed, images=arrays.get("images"))
     except ConfigError as exc:
         raise DataError(f"{path}: {exc}") from None

@@ -318,7 +318,7 @@ def test_criterion_8_round_trips(tmp_path, tiny_world, tiny_datasets, tiny_mcfg)
 
     d1, d2 = tmp_path / "d1", tmp_path / "d2"
     save_dataset_dir(d1, tiny_world, tiny_datasets)
-    w2, loaded = load_dataset_dir(d1)
+    w2, loaded = load_dataset_dir(d1, tiny_world.config)
     save_dataset_dir(d2, w2, loaded)
     assert _dirhash(d1) == _dirhash(d2)
 

@@ -1,5 +1,6 @@
 """Config parsing/echo round trips and the command-line surface."""
 
+import argparse
 import hashlib
 import shutil
 import subprocess
@@ -8,8 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mindalign.cli import main
+from mindalign.cli import _build_parser, main
 from mindalign.config import echo_config, parse_config, with_overrides
 from mindalign.errors import ConfigError
 from mindalign.model import load_checkpoint, save_checkpoint
@@ -176,6 +179,10 @@ MALFORMED = {
         ds, lambda items, arrays: arrays["image_ids.s2"].__setitem__(0, 10 ** 6)),
     "dataset missing a key": lambda ck, ds: _edit(
         ds, lambda items, arrays: items.pop("world.n_shared")),
+    # a voxel range that alone would take 745 GiB to build: the stored block
+    # must be compared with the config before anything is built from it
+    "dataset world block differs from the config": lambda ck, ds: _edit(
+        ds, lambda items, arrays: items.update({"world.voxels_max": "100000000000"})),
 }
 
 
@@ -352,7 +359,8 @@ class TestCLI:
                      "--data", str(workdir / "data"), "--checkpoint", str(checkpoint),
                      "--subject", "s2", "--sessions", "2",
                      "--out", str(tmp_path / "cli")]) == 0
-        world, datasets = load_dataset_dir(workdir / "data")
+        world, datasets = load_dataset_dir(workdir / "data",
+                                           parse_config(SMALL_CFG).world)
         mp, log = finetune(load_checkpoint(checkpoint), world, datasets["s2"], 2,
                            parse_config(SMALL_CFG).train)
         save_checkpoint(mp, tmp_path / "lib.me2c")
@@ -361,3 +369,86 @@ class TestCLI:
                 == (tmp_path / "lib.me2c").read_bytes())
         assert ((tmp_path / "cli" / "trainlog.csv").read_bytes()
                 == (tmp_path / "lib.csv").read_bytes())
+
+
+# -- argv fuzz ---------------------------------------------------------------
+
+def _subcommand_flags() -> dict[str, list[str]]:
+    """Each real subcommand and the long flags its parser accepts."""
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: [opt for action in p._actions for opt in action.option_strings
+                   if opt.startswith("--") and opt != "--help"]
+            for name, p in sub.choices.items()}
+
+
+SUBCOMMAND_FLAGS = _subcommand_flags()
+# argv text as a shell passes it: no NUL, and undecodable bytes arrive as
+# lone surrogates; no "/", so a junk --out name stays inside the fuzz root
+_ARG_TEXT = st.text(st.one_of(st.sampled_from(["-", ",", "=", " ", "0", "s", "\udcff"]),
+                              st.characters(blacklist_categories=("Cs",),
+                                            blacklist_characters="\x00/")), max_size=12)
+_NOT_HELP = _ARG_TEXT.filter(lambda t: t != "-h" and not (
+    len(t) > 2 and "--help".startswith(t)))
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(tmp_path_factory):
+    """Config, data and checkpoint paths an argv may name: one small valid
+    config, everything else missing or garbage, so no command trains."""
+    root = tmp_path_factory.mktemp("argv")
+    (root / "small.cfg").write_text(SMALL_CFG)
+    (root / "garbage.cfg").write_bytes(b"seed = = 1\n\xff\x00")
+    (root / "garbage.bin").write_bytes(b"mindalign-arrays\n" + bytes(range(256)))
+    (root / "garbage_data").mkdir()
+    (root / "garbage_data" / DATASET_FILE).write_bytes(b"\x93NUMPY junk")
+    (root / "out").mkdir()
+    return root
+
+
+# values by flag: --config, --data and --checkpoint name files under the fuzz
+# root; --config is mostly the valid one, and the other flags' values are
+# mostly well-formed, so that most argvs reach a later check
+_VALUES = {
+    "--config": st.sampled_from(["small.cfg"] * 4 + ["garbage.cfg", "garbage.bin",
+                                                     "missing.cfg", "out"]),
+    "--data": st.sampled_from(["garbage_data", "garbage.bin", "missing", "out"]),
+    "--checkpoint": st.sampled_from(["garbage.bin", "garbage_data", "missing.me2c"]),
+    "--seed": st.integers(-2 ** 70, 2 ** 70).map(str) | _NOT_HELP,
+    "--sessions": st.lists(st.integers(-2, 9), max_size=3).map(
+        lambda ks: ",".join(map(str, ks))) | _NOT_HELP,
+    "--subject": st.sampled_from(["s0", "s2", "s9", ""]) | _NOT_HELP,
+    "--arms": st.sampled_from(["pretrained", "scratch,pretrained", "bogus", ","]) | _NOT_HELP,
+    "--variants": st.sampled_from(["Ret,All", "All", "Nope", ""]) | _NOT_HELP,
+}
+_PATH_FLAGS = ("--config", "--data", "--checkpoint")
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(command=st.sampled_from(sorted(SUBCOMMAND_FLAGS)), config=_VALUES["--config"],
+       out=_NOT_HELP, options=st.fixed_dictionaries({}, optional={
+           flag: value for flag, value in _VALUES.items() if flag != "--config"}),
+       junk=st.integers(0, 3).flatmap(lambda k: st.tuples(st.integers(0, 99), _NOT_HELP)
+                                       if k == 0 else st.none()))
+@example(command="ablate", config="small.cfg", out="", options={"--subject": "\udcff"},
+         junk=None)
+def test_fuzzed_argv_exits_with_a_contract_code(fuzz_root, command, config, out,
+                                                options, junk):
+    """Every argv ends in exit 0, 2, 3 or 4 (argparse exits 2), never a traceback.
+
+    ``options`` holds values for any flags; the subcommand takes those it has.
+    ``junk``, if drawn, is one more argument inserted at a drawn position.
+    """
+    argv = [command, "--config", str(fuzz_root / config),
+            "--out", str(fuzz_root / "out" / out)]
+    for flag, value in options.items():
+        if flag in SUBCOMMAND_FLAGS[command]:
+            argv += [flag, str(fuzz_root / value) if flag in _PATH_FLAGS else value]
+    if junk is not None:
+        argv.insert(1 + junk[0] % len(argv), junk[1])
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2, argv
+        return
+    assert code in (0, 2, 3, 4), argv

@@ -16,6 +16,7 @@ from mindalign.model import (
     load_checkpoint,
     lowlevel_forward,
     make_schedule,
+    parameter_shapes,
     prior_sample,
     prior_train_step,
     retrieval_project,
@@ -244,6 +245,17 @@ class TestStructure:
                         subs, seed=1)
         assert m2.parameter_count() == expected_parameter_count(
             WCFG, ModelConfig(**{**MCFG.__dict__, "mlp_ridge": True}), subs)
+
+    @pytest.mark.parametrize("mlp_ridge", [False, True])
+    def test_shape_table_matches_built_model(self, world, mlp_ridge):
+        mcfg = ModelConfig(**{**MCFG.__dict__, "mlp_ridge": mlp_ridge})
+        subs = {sid: s.n_voxels for sid, s in world.subjects.items()}
+        m = init_model(WCFG, mcfg, subs, seed=1)
+        assert [(k, p.shape) for k, p in m.params.items()] == list(
+            parameter_shapes(WCFG, mcfg, subs).items())
+        add_subject(m, "new", 33, seed=9)
+        assert {k: p.shape for k, p in m.params.items()} == parameter_shapes(
+            WCFG, mcfg, {**subs, "new": 33})
 
     def test_shared_weights_untouched_by_subject_forwards(self, mp):
         before = {k: mp.params[k].data.tobytes()

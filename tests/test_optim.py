@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mindalign.optim import AdamW, AdamWState, adamw_step, warmup_cosine_lr
+from mindalign.optim import AdamW, warmup_cosine_lr
 from mindalign.tensor import ShapeError, Tensor, mul, tensor_sum
 
 from oracles import adamw_reference_step
@@ -11,16 +11,15 @@ from oracles import adamw_reference_step
 
 def test_zero_grad_zero_decay_is_identity():
     p = Tensor(np.array([1.5, -2.0]), requires_grad=True)
-    st = AdamWState(lr=0.1, weight_decay=0.0)
-    adamw_step({"p": p}, {}, st)
+    opt = AdamW({"p": p}, lr=0.1, weight_decay=0.0)
+    opt.step()
     np.testing.assert_array_equal(p.data, [1.5, -2.0])
-    assert st.step_count == 1
+    assert opt.step_count == 1
 
 
 def test_zero_grad_decay_shrinks_by_factor():
     p = Tensor(np.array([2.0, -4.0]), requires_grad=True)
-    st = AdamWState(lr=0.1, weight_decay=0.5)
-    adamw_step({"p": p}, {}, st)
+    AdamW({"p": p}, lr=0.1, weight_decay=0.5).step()
     np.testing.assert_allclose(p.data, np.array([2.0, -4.0]) * (1 - 0.1 * 0.5),
                                rtol=0, atol=0)
 
@@ -31,10 +30,11 @@ def test_matches_reference_formulas():
     ref_p = p.data.copy()
     m = np.zeros(4)
     v = np.zeros(4)
-    st = AdamWState(lr=0.01, weight_decay=0.2)
+    opt = AdamW({"p": p}, lr=0.01, weight_decay=0.2)
     for t in range(1, 6):
         g = rng.normal(size=4)
-        adamw_step({"p": p}, {"p": g}, st)
+        p.grad = g
+        opt.step()
         for i in range(4):
             ref_p[i], m[i], v[i] = adamw_reference_step(
                 ref_p[i], g[i], m[i], v[i], t, 0.01, 0.9, 0.999, 1e-8, 0.2)
@@ -54,21 +54,22 @@ def test_quadratic_bowl_converges():
 
 def test_shape_mismatch_rejected():
     p = Tensor(np.zeros(3), requires_grad=True)
+    p.grad = np.zeros(4)
     with pytest.raises(ShapeError):
-        adamw_step({"p": p}, {"p": np.zeros(4)}, AdamWState(lr=0.1))
+        AdamW({"p": p}, lr=0.1).step()
 
 
 def test_lr_must_be_positive():
     p = Tensor(np.zeros(3), requires_grad=True)
     with pytest.raises(ValueError):
-        adamw_step({"p": p}, {}, AdamWState(lr=0.0))
+        AdamW({"p": p}, lr=0.0).step()
 
 
 def test_decay_mask_limits_decay():
     a = Tensor(np.array([1.0]), requires_grad=True)
     b = Tensor(np.array([1.0]), requires_grad=True)
-    st = AdamWState(lr=0.1, weight_decay=0.5)
-    adamw_step({"a": a, "b": b}, {}, st, decay_mask={"a": True, "b": False})
+    AdamW({"a": a, "b": b}, lr=0.1, weight_decay=0.5,
+          decay_mask={"a": True, "b": False}).step()
     assert a.data[0] == pytest.approx(0.95)
     assert b.data[0] == 1.0
 

@@ -62,7 +62,7 @@ def _load(kind, raw, root):
     else:
         path = root / "x" / DATASET_FILE
         path.parent.mkdir(exist_ok=True)
-        load = lambda p: load_dataset_dir(p.parent)  # noqa: E731
+        load = lambda p: load_dataset_dir(p.parent, NANO_WORLD)  # noqa: E731
     path.write_bytes(raw)
     try:
         load(path)

@@ -13,22 +13,18 @@ from mindalign.tensor import (
     add,
     backward,
     concat,
-    cosine_similarity,
     cross_entropy_soft,
-    exp,
     gelu,
     gradcheck,
     l1_loss,
     l2_normalize,
     layernorm,
-    log,
     matmul,
     mse_loss,
     mul,
     reshape,
     scale,
-    silu,
-    softmax,
+    sub,
     tensor_mean,
     tensor_sum,
     transpose,
@@ -44,11 +40,6 @@ class TestForward:
         X = Tensor(rand((3, 5), 1))
         out = matmul(Tensor(np.eye(3)), X)
         np.testing.assert_allclose(out.data, X.data, rtol=0, atol=0)
-
-    def test_softmax_normalizes(self):
-        for seed in range(5):
-            v = Tensor(rand((9,), seed))
-            assert softmax(v).data.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_gelu_zero_fixed_point(self):
         assert gelu(Tensor(0.0)).item() == 0.0
@@ -67,8 +58,8 @@ class TestForward:
     def test_non_finite_raises(self):
         with pytest.raises(NonFiniteError):
             Tensor(np.array([1.0, np.nan]))
-        with pytest.raises(NonFiniteError):
-            log(Tensor(np.array([-1.0])))
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+            scale(Tensor(np.array([1e308])), 10.0)
 
 
 class TestBackward:
@@ -168,18 +159,13 @@ class TestGradcheck:
         def graph(bd):
             h = layernorm(bd["x"], bd["g"], bd["b"])
             h = add(matmul(gelu(h), bd["W"]), bd["x"])
-            h = silu(h)
             p1 = concat([h[0:2], h[2:3]], axis=0)
             p1 = transpose(reshape(p1, (3, 6)))
             p1 = transpose(p1)
-            sm = softmax(scale(p1, 1.3), axis=-1)
             ce = cross_entropy_soft(matmul(l2_normalize(p1), transpose(C)), soft)
-            cs = tensor_mean(cosine_similarity(p1, C))
-            pieces = add(add(l1_loss(sm, Tensor(np.abs(Tg.data))), mse_loss(p1, Tg)), ce)
-            pieces = add(pieces, cs)
-            pieces = add(pieces, tensor_mean(exp(scale(h, 0.1))))
-            pieces = add(pieces, tensor_mean(log(add(exp(h), Tensor(np.ones((3, 6)))))))
-            return pieces
+            cos = tensor_mean(tensor_sum(mul(l2_normalize(p1), l2_normalize(C)), axis=-1))
+            pieces = add(add(l1_loss(scale(p1, 1.3), Tg), mse_loss(sub(p1, C), Tg)), ce)
+            return add(pieces, cos)
 
         err = gradcheck(graph, {"x": x, "W": W, "g": g, "b": b})
         assert err < 1e-4

@@ -269,7 +269,7 @@ class TestPersistence:
                     for i, sid in enumerate(world.subject_ids)}
         d1 = tmp_path / "a"
         save_dataset_dir(d1, world, datasets)
-        w2, loaded = load_dataset_dir(d1)
+        w2, loaded = load_dataset_dir(d1, world.config)
         d2 = tmp_path / "b"
         save_dataset_dir(d2, w2, loaded)
         assert self._dirhash(d1) == self._dirhash(d2)
@@ -277,7 +277,7 @@ class TestPersistence:
     def test_loaded_fields_match_f32_values(self, world, tmp_path):
         ds = normalize(generate_dataset(world, "s0", seed=4))
         save_dataset_dir(tmp_path / "d", world, {"s0": ds})
-        _, loaded = load_dataset_dir(tmp_path / "d")
+        _, loaded = load_dataset_dir(tmp_path / "d", world.config)
         got = loaded["s0"]
         np.testing.assert_array_equal(got.voxels,
                                       ds.voxels.astype(np.float32).astype(np.float64))
