@@ -33,7 +33,11 @@ def parse_flat(text: str) -> dict[str, str]:
 
 
 def format_flat(items: dict[str, object]) -> str:
-    """Render a mapping as sorted `key = value` lines."""
+    """Render a mapping as sorted `key = value` lines.
+
+    Raises `ConfigError` for a key or value that would not parse back to
+    itself: one holding '#', '=' in the key, a line break, or edge whitespace.
+    """
     lines = []
     for key in sorted(items):
         v = items[key]
@@ -41,7 +45,16 @@ def format_flat(items: dict[str, object]) -> str:
             v = "true" if v else "false"
         elif isinstance(v, float):
             v = repr(v)
-        lines.append(f"{key} = {v}")
+        else:
+            v = str(v)
+        line = f"{key} = {v}"
+        try:
+            same = parse_flat(line) == {key: v}
+        except ConfigError:  # a line break left a malformed second line
+            same = False
+        if not same:
+            raise ConfigError(f"{key!r} = {v!r} cannot be written as one 'key = value' line")
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 

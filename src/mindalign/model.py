@@ -10,6 +10,14 @@ converter maps the primary token space into a second one.
 Only the ridge layer is subject-conditioned; everything downstream is
 shared. Parameters are stored in a flat name->Tensor dict so the optimizer
 and the checkpoint format see one namespace.
+
+Every trainable linear-layer weight (``*.W``, ``*.W2``,
+``backbone.to_tokens``) is held in memory as the C-contiguous ``[in, out]``
+matrix its layer multiplies by, and in checkpoint files as ``[out, in]``;
+initialization draws the ``[out, in]`` array, so values, seed streams and
+files are those of an ``[out, in]`` model. Holding ``[out, in]`` in memory
+would need a transposed copy per step, or a strided view, with which BLAS
+picks other kernels and the last bits change.
 """
 
 from __future__ import annotations
@@ -146,16 +154,18 @@ def _ll_stage_channels(world_cfg: WorldConfig, mcfg: ModelConfig) -> list[int]:
 
 def parameter_shapes(world_cfg: WorldConfig, mcfg: ModelConfig,
                      subjects: dict[str, int]) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every parameter a config builds, in initialization order.
+    """Name -> in-memory shape of every parameter a config builds, in
+    initialization order.
 
-    Weights are [out, in]. Computing the table draws nothing, so a loader can
-    check a file against it before it builds anything.
+    Linear weights are [in, out] here and [out, in] in checkpoint files (see
+    `_transposed_in_memory`). Computing the table draws nothing, so a loader
+    can check a file against it before it builds anything.
     """
     D, h = world_cfg.token_dim, mcfg.h
     shapes: dict[str, tuple[int, ...]] = {}
 
     def linear(name: str, out_dim: int, in_dim: int) -> None:
-        shapes[f"{name}.W"] = (out_dim, in_dim)
+        shapes[f"{name}.W"] = (in_dim, out_dim)
         shapes[f"{name}.b"] = (out_dim,)
 
     for sid, n_vox in subjects.items():
@@ -165,7 +175,7 @@ def parameter_shapes(world_cfg: WorldConfig, mcfg: ModelConfig,
         shapes[f"backbone.block{i}.ln_b"] = (h,)
         linear(f"backbone.block{i}.fc1", h, h)
         linear(f"backbone.block{i}.fc2", h, h)
-    shapes["backbone.to_tokens"] = (D, h)
+    shapes["backbone.to_tokens"] = (h, D)
 
     shapes["prior.temb"] = (mcfg.t_steps, mcfg.d_temb)
     linear("prior.cond.fc1", mcfg.d_cond, D)
@@ -196,18 +206,35 @@ def parameter_shapes(world_cfg: WorldConfig, mcfg: ModelConfig,
 
 
 def _ridge_shapes(sid: str, n_vox: int, mcfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-    shapes = {f"ridge.{sid}.W": (mcfg.h, n_vox), f"ridge.{sid}.b": (mcfg.h,)}
+    shapes = {f"ridge.{sid}.W": (n_vox, mcfg.h), f"ridge.{sid}.b": (mcfg.h,)}
     if mcfg.mlp_ridge:
         shapes.update({f"ridge.{sid}.W2": (mcfg.h, mcfg.h), f"ridge.{sid}.b2": (mcfg.h,)})
     return shapes
 
 
+def _transposed_in_memory(name: str) -> bool:
+    """The trainable linear weights: [in, out] in memory, [out, in] in files."""
+    return (name.endswith((".W", ".W2")) or name == "backbone.to_tokens") \
+        and not is_frozen_parameter(name)
+
+
+def _file_shape(name: str, shape: tuple[int, ...]) -> tuple[int, ...]:
+    return shape[::-1] if _transposed_in_memory(name) else shape
+
+
+def _file_layout(name: str, data: np.ndarray) -> np.ndarray:
+    """``data`` as checkpoint files hold it; also the inverse map, up to strides."""
+    return data.T if _transposed_in_memory(name) else data
+
+
 def _draw(shapes: dict[str, tuple[int, ...]], rng: np.random.Generator) -> dict[str, Tensor]:
     """Initial values in table order: vectors are zeros (layernorm gains ones),
-    matrices uniform in +-1/sqrt(fan-in), the frozen map gaussian."""
+    matrices uniform in +-1/sqrt(fan-in), the frozen map gaussian. Matrices
+    are drawn in file layout."""
     params: dict[str, Tensor] = {}
     for name, shape in shapes.items():
         frozen = is_frozen_parameter(name)
+        shape = _file_shape(name, shape)
         if len(shape) == 1:
             data = np.ones(shape) if name.endswith(".ln_g") else np.zeros(shape)
         elif frozen:
@@ -215,7 +242,8 @@ def _draw(shapes: dict[str, tuple[int, ...]], rng: np.random.Generator) -> dict[
         else:
             bound = 1.0 / np.sqrt(shape[1])
             data = rng.uniform(-bound, bound, size=shape)
-        params[name] = Tensor(data, requires_grad=not frozen)
+        params[name] = Tensor(np.ascontiguousarray(_file_layout(name, data)),
+                              requires_grad=not frozen)
     return params
 
 
@@ -281,8 +309,12 @@ def expected_parameter_count(world_cfg: WorldConfig, mcfg: ModelConfig,
 
 
 def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
-    """x @ W^T + b with W stored [out, in]."""
-    return add(matmul(x, transpose(W)), b)
+    """x @ W + b with W held [in, out] (checkpoint files hold [out, in]).
+
+    The [in, out] array is the one the layer multiplies by, so forward and
+    backward need no transposed copy of W.
+    """
+    return add(matmul(x, W), b)
 
 
 def ridge_forward(mp: ModelParams, subject_id: str, voxels,
@@ -317,7 +349,7 @@ def backbone_forward(mp: ModelParams, latent) -> Tensor:
         hidden = linear(gelu(linear(hidden, p[f"{name}.fc1.W"], p[f"{name}.fc1.b"])),
                         p[f"{name}.fc2.W"], p[f"{name}.fc2.b"])
         x = add(x, hidden)
-    tokens = matmul(x, transpose(p["backbone.to_tokens"]))
+    tokens = matmul(x, p["backbone.to_tokens"])
     return reshape(tokens, (x.shape[0], mp.world_cfg.n_tokens, mp.world_cfg.d_token))
 
 
@@ -491,13 +523,15 @@ def converter_forward(mp: ModelParams, tokens_a) -> Tensor:
 
 
 def save_checkpoint(mp: ModelParams, path: Path) -> None:
-    """One array file: the config echo, then every parameter as float32."""
+    """One array file: the config echo, then every parameter as float32,
+    linear weights [out, in]."""
     items = world_config_items(mp.world_cfg, seed=int(mp.meta.get("world_seed", 0)))
     items.update({f"model.{f.name}": getattr(mp.mcfg, f.name) for f in fields(ModelConfig)})
     # world_seed is already carried as world.seed
     items.update({f"meta.{k}": v for k, v in mp.meta.items() if k != "world_seed"})
     write_arrays(path, items,
-                 {name: mp.params[name].data.astype("<f4") for name in sorted(mp.params)})
+                 {name: _file_layout(name, mp.params[name].data).astype("<f4")
+                  for name in sorted(mp.params)})
 
 
 def load_checkpoint(path: Path) -> ModelParams:
@@ -517,7 +551,7 @@ def load_checkpoint(path: Path) -> ModelParams:
         if expected_parameter_count(world_cfg, mcfg, subjects) != sum(
                 arr.size for arr in arrays.values()):
             raise DataError(f"{path}: parameter count differs from what its config builds")
-        check_layout(path, arrays, {name: ("<f4", shape) for name, shape
+        check_layout(path, arrays, {name: ("<f4", _file_shape(name, shape)) for name, shape
                                     in parameter_shapes(world_cfg, mcfg, subjects).items()})
         schedule = make_schedule(mcfg.schedule, mcfg.t_steps)
     except ConfigError as exc:
@@ -525,7 +559,8 @@ def load_checkpoint(path: Path) -> ModelParams:
     meta = {k[len("meta."):]: v for k, v in items.items() if k.startswith("meta.")}
     meta["world_seed"] = str(world_seed)
     return ModelParams(world_cfg=world_cfg, mcfg=mcfg, subjects=subjects, schedule=schedule,
-                       params={name: Tensor(arr.astype(np.float64),
+                       params={name: Tensor(np.ascontiguousarray(_file_layout(name, arr),
+                                                                 dtype=np.float64),
                                             requires_grad=not is_frozen_parameter(name))
                                for name, arr in arrays.items()},
                        meta=meta)

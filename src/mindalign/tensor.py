@@ -3,7 +3,13 @@
 Graphs are built define-by-run: every operation returns a new ``Tensor``
 holding references to its parents and a closure implementing its backward
 rule. ``Tensor.backward`` walks the recorded graph in reverse topological
-order and accumulates gradients into every leaf that requires them.
+order, hands each node's gradient to its closure, and accumulates gradients
+into every leaf that requires them.
+
+A closure references the op's inputs but never its own output, so a graph
+is acyclic: reference counting frees it, activations and intermediate
+gradients included, as soon as its last reference is dropped, without
+waiting for the cycle collector.
 
 All data is float64. Any NaN/Inf produced by an operation is a contract
 violation and raises ``NonFiniteError`` at the op that produced it.
@@ -88,7 +94,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
-        self._backward_fn: Callable[[], None] | None = None
+        self._backward_fn: Callable[[np.ndarray], None] | None = None
 
     @classmethod
     def _from_op(cls, data: np.ndarray, parents: tuple["Tensor", ...]) -> "Tensor":
@@ -157,7 +163,7 @@ class Tensor:
         self._acc(up)
         for node in reversed(topo):
             if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn()
+                node._backward_fn(node.grad)
 
     # -- operator sugar -------------------------------------------------
 
@@ -210,9 +216,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = Tensor.lift(a), Tensor.lift(b)
     out = Tensor._from_op(a.data + b.data, (a, b))
 
-    def _bwd():
-        a._acc(_unbroadcast(out.grad, a.shape))
-        b._acc(_unbroadcast(out.grad, b.shape))
+    def _bwd(g):
+        a._acc(_unbroadcast(g, a.shape))
+        b._acc(_unbroadcast(g, b.shape))
 
     out._backward_fn = _bwd
     return out
@@ -222,9 +228,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     a, b = Tensor.lift(a), Tensor.lift(b)
     out = Tensor._from_op(a.data - b.data, (a, b))
 
-    def _bwd():
-        a._acc(_unbroadcast(out.grad, a.shape))
-        b._acc(_unbroadcast(-out.grad, b.shape))
+    def _bwd(g):
+        a._acc(_unbroadcast(g, a.shape))
+        b._acc(_unbroadcast(-g, b.shape))
 
     out._backward_fn = _bwd
     return out
@@ -234,9 +240,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = Tensor.lift(a), Tensor.lift(b)
     out = Tensor._from_op(a.data * b.data, (a, b))
 
-    def _bwd():
-        a._acc(_unbroadcast(out.grad * b.data, a.shape))
-        b._acc(_unbroadcast(out.grad * a.data, b.shape))
+    def _bwd(g):
+        a._acc(_unbroadcast(g * b.data, a.shape))
+        b._acc(_unbroadcast(g * a.data, b.shape))
 
     out._backward_fn = _bwd
     return out
@@ -247,8 +253,8 @@ def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     out = Tensor._from_op(a.data * c, (a,))
 
-    def _bwd():
-        a._acc(out.grad * c)
+    def _bwd(g):
+        a._acc(g * c)
 
     out._backward_fn = _bwd
     return out
@@ -262,9 +268,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     out = Tensor._from_op(a.data @ b.data, (a, b))
 
-    def _bwd():
-        a._acc(out.grad @ b.data.T)
-        b._acc(a.data.T @ out.grad)
+    def _bwd(g):
+        a._acc(g @ b.data.T)
+        b._acc(a.data.T @ g)
 
     out._backward_fn = _bwd
     return out
@@ -277,8 +283,8 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     out = Tensor._from_op(np.transpose(a.data, axes).copy(), (a,))
     inv = None if axes is None else tuple(np.argsort(axes))
 
-    def _bwd():
-        a._acc(np.transpose(out.grad, inv))
+    def _bwd(g):
+        a._acc(np.transpose(g, inv))
 
     out._backward_fn = _bwd
     return out
@@ -288,8 +294,8 @@ def reshape(a: Tensor, shape) -> Tensor:
     a = Tensor.lift(a)
     out = Tensor._from_op(a.data.reshape(shape), (a,))
 
-    def _bwd():
-        a._acc(out.grad.reshape(a.shape))
+    def _bwd(g):
+        a._acc(g.reshape(a.shape))
 
     out._backward_fn = _bwd
     return out
@@ -299,10 +305,10 @@ def tensor_slice(a: Tensor, idx) -> Tensor:
     a = Tensor.lift(a)
     out = Tensor._from_op(a.data[idx], (a,))
 
-    def _bwd():
-        g = np.zeros_like(a.data)
-        np.add.at(g, idx, out.grad)
-        a._acc(g)
+    def _bwd(g):
+        full = np.zeros_like(a.data)
+        np.add.at(full, idx, g)
+        a._acc(full)
 
     out._backward_fn = _bwd
     return out
@@ -314,11 +320,11 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     sizes = [t.shape[axis] for t in ts]
     offsets = np.cumsum([0] + sizes)
 
-    def _bwd():
+    def _bwd(g):
         for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * out.ndim
+            sl = [slice(None)] * g.ndim
             sl[axis] = slice(lo, hi)
-            t._acc(out.grad[tuple(sl)])
+            t._acc(g[tuple(sl)])
 
     out._backward_fn = _bwd
     return out
@@ -328,8 +334,7 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     a = Tensor.lift(a)
     out = Tensor._from_op(a.data.sum(axis=axis, keepdims=keepdims), (a,))
 
-    def _bwd():
-        g = out.grad
+    def _bwd(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         a._acc(np.broadcast_to(g, a.shape))
@@ -353,9 +358,9 @@ def gelu(a: Tensor) -> Tensor:
     phi = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
     out = Tensor._from_op(a.data * phi, (a,))
 
-    def _bwd():
+    def _bwd(g):
         pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT2PI
-        a._acc(out.grad * (phi + a.data * pdf))
+        a._acc(g * (phi + a.data * pdf))
 
     out._backward_fn = _bwd
     return out
@@ -373,8 +378,7 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
     xhat = xc * inv
     out = Tensor._from_op(gain.data * xhat + bias.data, (x, gain, bias))
 
-    def _bwd():
-        dy = out.grad
+    def _bwd(dy):
         lead = tuple(range(dy.ndim - 1))
         gain._acc((dy * xhat).sum(axis=lead))
         bias._acc(dy.sum(axis=lead))
@@ -393,8 +397,7 @@ def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
     d = np.maximum(r, eps)
     out = Tensor._from_op(x.data / d, (x,))
 
-    def _bwd():
-        g = out.grad
+    def _bwd(g):
         inner = (g * x.data).sum(axis=axis, keepdims=True)
         # below the clamp the map is linear in x, so the norm term vanishes
         x._acc(g / d - x.data * (inner * (r > eps) / (d * d * d)))
@@ -415,8 +418,8 @@ def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
     out = Tensor._from_op(np.abs(diff).mean(), (pred, target))
     n = pred.size
 
-    def _bwd():
-        g = out.grad * np.sign(diff) / n
+    def _bwd(g):
+        g = g * np.sign(diff) / n
         pred._acc(g)
         target._acc(-g)
 
@@ -433,8 +436,8 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     out = Tensor._from_op((diff * diff).mean(), (pred, target))
     n = pred.size
 
-    def _bwd():
-        g = out.grad * 2.0 * diff / n
+    def _bwd(g):
+        g = g * 2.0 * diff / n
         pred._acc(g)
         target._acc(-g)
 
@@ -459,10 +462,10 @@ def cross_entropy_soft(logits: Tensor, soft_targets: np.ndarray | Tensor,
     n_rows = logits.size // logits.shape[axis]
     out = Tensor._from_op(-(t * logq).sum() / n_rows, (logits,))
 
-    def _bwd():
+    def _bwd(g):
         q = np.exp(logq)
         mass = t.sum(axis=axis, keepdims=True)
-        logits._acc(out.grad * (q * mass - t) / n_rows)
+        logits._acc(g * (q * mass - t) / n_rows)
 
     out._backward_fn = _bwd
     return out
@@ -503,9 +506,11 @@ def gradcheck(graph: Graph, bindings: Mapping[str, Tensor], eps: float = 1e-5,
     worst = 0.0
     for name, grad in analytic.items():
         t = bindings[name]
-        flat = t.data.reshape(-1)
+        # `.flat` writes through any strides, so the probes reach the graph
+        # also for a non-contiguous binding
+        flat = t.data.flat
         gflat = grad.reshape(-1)
-        n = flat.size
+        n = t.size
         if coords_per_param is None or coords_per_param >= n:
             coords = range(n)
         else:

@@ -328,6 +328,19 @@ class TestCLI:
         assert capsys.readouterr().err == (f"config error: cannot create {taken}: "
                                            f"File exists\n")
 
+    @pytest.mark.parametrize("subject", ["s2 # x", "a\nb", "s2\u2028"])
+    def test_unwritable_echo_value_exits_2(self, workdir, tmp_path, capsys, subject):
+        # the echo must reproduce the run, so a value it cannot hold is refused
+        # before the output directory exists
+        out = tmp_path / "o"
+        assert main(["scratch", "--config", str(workdir / "small.cfg"),
+                     "--data", str(workdir / "data"), "--subject", subject,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: 'train.held_out_subject' = {subject!r} ")
+        assert err.count("\n") == 1
+
     def test_config_not_utf8_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_bytes(b"\xff\xfeseed = 1\n")

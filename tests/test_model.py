@@ -23,7 +23,9 @@ from mindalign.model import (
     ridge_forward,
     save_checkpoint,
 )
+from mindalign.store import read_arrays
 from mindalign.tensor import ShapeError, Tensor, add, gradcheck, mse_loss
+from mindalign.train import TrainConfig, finetune
 from mindalign.world import WorldConfig, generate_world, token_targets
 
 WCFG = WorldConfig(image_hw=8, channels=3, n_tokens=8, d_token=32, vae_hw=4,
@@ -101,7 +103,7 @@ class TestBackbone:
                 mp.params[f"backbone.block{i}.{leaf}"].data[:] = 0.0
         x = np.random.default_rng(0).normal(size=(3, MCFG.h))
         toks = backbone_forward(mp, x)
-        direct = x @ mp.params["backbone.to_tokens"].data.T
+        direct = x @ mp.params["backbone.to_tokens"].data
         np.testing.assert_allclose(toks.data.reshape(3, -1), direct, atol=1e-12)
 
     def test_output_shape_config_echo(self, mp):
@@ -270,7 +272,7 @@ class TestStructure:
     def test_add_drop_subject(self, mp):
         add_subject(mp, "new", 33, seed=9)
         assert "ridge.new.W" in mp.params
-        assert mp.params["ridge.new.W"].shape == (MCFG.h, 33)
+        assert mp.params["ridge.new.W"].shape == (33, MCFG.h)
         with pytest.raises(DataError):
             add_subject(mp, "new", 33, seed=9)
 
@@ -326,3 +328,60 @@ class TestCheckpoint:
         bad.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(DataError):
             load_checkpoint(bad)
+
+    def test_unwritable_meta_rejected(self, mp, tmp_path):
+        # a meta value that would not parse back is refused before any write
+        mp.meta["note"] = "a # b"
+        with pytest.raises(ConfigError):
+            save_checkpoint(mp, tmp_path / "e.me2c")
+        assert not (tmp_path / "e.me2c").exists()
+
+
+class TestLayout:
+    """The in-memory layout that keeps the BLAS calls, and so the bits, fixed."""
+
+    @pytest.mark.parametrize("mlp_ridge", [False, True])
+    def test_every_parameter_c_contiguous_with_table_shape(self, tiny_world, tiny_datasets,
+                                                           tmp_path, mlp_ridge):
+        # an F-ordered weight would silently pick other BLAS kernels
+        mcfg = ModelConfig(**{**MCFG.__dict__, "mlp_ridge": mlp_ridge})
+        wcfg = tiny_world.config
+        subs = {"s0": 40, "s1": 50}
+        m = init_model(wcfg, mcfg, subs, seed=1)
+        add_subject(m, "s2", 33, seed=9)
+        save_checkpoint(m, tmp_path / "m.me2c")
+        loaded = load_checkpoint(tmp_path / "m.me2c")
+        ft, _ = finetune(loaded, tiny_world, tiny_datasets["s3"], 1,
+                         TrainConfig(epochs=1, batch_size=6, held_out_subject="s3"))
+        for model, subjects in ((m, {**subs, "s2": 33}), (loaded, {**subs, "s2": 33}),
+                                (ft, {"s3": tiny_datasets["s3"].n_voxels})):
+            assert {k: p.shape for k, p in model.params.items()} == parameter_shapes(
+                wcfg, mcfg, subjects)
+            assert all(p.data.flags.c_contiguous for p in model.params.values())
+        assert m.params["ridge.s0.W"].shape == (40, MCFG.h)
+        assert m.params["backbone.to_tokens"].shape == (MCFG.h, wcfg.token_dim)
+        assert m.params["prior.temb"].shape == (MCFG.t_steps, MCFG.d_temb)
+        assert m.params["retrieval.target.W"].shape == (MCFG.d_retr, wcfg.token_dim)
+
+    def test_checkpoint_holds_out_in(self, tmp_path):
+        mcfg = ModelConfig(**{**MCFG.__dict__, "mlp_ridge": True})
+        m = init_model(WCFG, mcfg, {"s0": 40}, seed=2)
+        save_checkpoint(m, tmp_path / "a.me2c")
+        _, arrays = read_arrays(tmp_path / "a.me2c")
+        # the trainable linear weights; not the lookup table or the frozen map
+        flipped = {n for n in arrays if n.endswith((".W", ".W2"))} | {"backbone.to_tokens"}
+        flipped.discard("retrieval.target.W")
+        assert {"ridge.s0.W2", "prior.res0.W", "converter.feat.W"} <= flipped
+        for name, arr in arrays.items():
+            mem = m.params[name].data
+            np.testing.assert_array_equal(
+                arr, (mem.T if name in flipped else mem).astype(np.float32), err_msg=name)
+        save_checkpoint(load_checkpoint(tmp_path / "a.me2c"), tmp_path / "b.me2c")
+        assert (tmp_path / "a.me2c").read_bytes() == (tmp_path / "b.me2c").read_bytes()
+
+    def test_ridge_init_stream(self):
+        # the [out, in] draw from the subject's own stream, held transposed
+        n_vox, bound = 40, 1.0 / np.sqrt(40)
+        m = init_model(WCFG, MCFG, {"s0": n_vox, "s1": 50}, seed=5)
+        want = seeds.rng(5, "ridge", "s0").uniform(-bound, bound, size=(MCFG.h, n_vox))
+        np.testing.assert_array_equal(m.params["ridge.s0.W"].data.T, want)

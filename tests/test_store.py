@@ -6,12 +6,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib import format as npy
 
 from mindalign.errors import ConfigError, DataError
-from mindalign.flatkv import parse_flat
+from mindalign.flatkv import format_flat, parse_flat
 from mindalign.model import ModelConfig, init_model, load_checkpoint, save_checkpoint
 from mindalign.store import MAGIC, check_layout, read_arrays, write_arrays
 from mindalign.world import (
@@ -202,6 +202,28 @@ class TestFuzz:
         for at, bits in flips:
             raw[at] ^= bits
         _load(kind, bytes(raw), nano_files["dir"])
+
+    @FUZZ
+    @given(st.sampled_from(["k", "paths.data"]) | st.text(), st.text())
+    @example("k", "s2 # x")
+    @example("k", "a\nb")
+    @example("k", "a\x85b")
+    @example("k", " s2")
+    @example("k = v", "s2")
+    @example("k", "")
+    @example("k", "a = b")
+    def test_format_flat_round_trips_or_raises_config_error(self, key, value):
+        def one_line(text):
+            return text == text.strip() and "#" not in text and len(text.splitlines()) <= 1
+
+        writable = one_line(value) and one_line(key) and key != "" and "=" not in key
+        try:
+            text = format_flat({key: value})
+        except ConfigError:
+            assert not writable
+            return
+        assert writable
+        assert parse_flat(text) == {key: value}
 
     @FUZZ
     @given(st.text())

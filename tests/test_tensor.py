@@ -1,5 +1,8 @@
 """Autograd engine: op semantics, gradient checks, invariants."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,6 +140,13 @@ class TestGradcheck:
         err = gradcheck(block, {"x": x, "g": g, "b": b, "W1": W1, "W2": W2})
         assert err < 1e-4
 
+    def test_non_contiguous_binding(self):
+        # probes must reach the graph through the binding's own strides
+        x = Tensor(np.arange(1.0, 13.0).reshape(3, 4).T, requires_grad=True)
+        assert not x.data.flags.c_contiguous
+        err = gradcheck(lambda bd: tensor_sum(mul(bd["x"], bd["x"])), {"x": x})
+        assert err < 1e-8
+
     def test_nonscalar_output_rejected(self):
         x = Tensor(rand((3,), 40), requires_grad=True)
         with pytest.raises(GraphError):
@@ -169,6 +179,26 @@ class TestGradcheck:
 
         err = gradcheck(graph, {"x": x, "W": W, "g": g, "b": b})
         assert err < 1e-4
+
+
+class TestGraphMemory:
+    def test_graph_is_acyclic(self):
+        # a dropped graph is freed by reference counting alone
+        W = Tensor(rand((4, 3), 60), requires_grad=True)
+        gc.disable()
+        try:
+            gc.collect()
+            h = gelu(matmul(Tensor(rand((2, 4), 61)), W))
+            rows = concat([h, reshape(transpose(h), (2, 3))[0:1]], axis=0)
+            loss = mse_loss(rows, Tensor(rand((3, 3), 62)))
+            loss.backward()
+            probe = weakref.ref(h.data)
+            del h, rows, loss
+            assert probe() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert W.grad is not None
 
 
 class TestProperties:

@@ -1,5 +1,8 @@
 """Training protocols: batch composition, determinism, hygiene, ablations."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -332,3 +335,30 @@ def test_trainlog_csv_roundtrip(tmp_path, tiny_world, tiny_datasets, tiny_mcfg):
     # repr round-trip keeps float values exact
     for logged, parsed in zip(log.rows, rows[1:]):
         assert float(parsed[5]) == logged[5]
+
+
+class TestMemory:
+    """Training and sampling graphs are acyclic and hold no weight copies."""
+
+    def test_training_leaves_no_cyclic_garbage(self, tiny_world, tiny_datasets, tiny_mcfg):
+        gc.collect()
+        gc.disable()
+        try:
+            train_from_scratch(tiny_world, tiny_datasets["s3"], 1, FAST, tiny_mcfg)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_prior_sample_peak_below_prior_weights(self, tiny_world, tiny_mcfg):
+        mp = init_model(tiny_world.config, tiny_mcfg, {"a": 10}, seed=1)
+        toks = backbone_forward(mp, ridge_forward(
+            mp, "a", np.random.default_rng(0).normal(size=(16, 10)))).data
+        prior_bytes = sum(p.data.nbytes for k, p in mp.params.items()
+                          if k.startswith("prior."))
+        tracemalloc.start()
+        try:
+            prior_sample(mp, toks, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < prior_bytes
