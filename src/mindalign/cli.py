@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import RunConfig, echo_config, load_config, with_overrides
+from .config import RunConfig, echo_config, load_config
 from .errors import ConfigError, DataError
 from .tensor import GraphError, NonFiniteError, ShapeError
 
@@ -23,44 +23,49 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
+# Every flag sets one config key, and means exactly what that key means in a
+# config file; the subcommand sets ``command``. "scaling --sessions" is the
+# one flag whose key depends on the subcommand: there it is the session grid.
+_FLAG_KEYS = {
+    "--out": "paths.out",
+    "--seed": "seed",
+    "--data": "paths.data",
+    "--checkpoint": "paths.checkpoint",
+    "--subject": "train.held_out_subject",
+    "--sessions": "train.n_finetune_sessions",
+    "scaling --sessions": "scaling.sessions",
+    "--arms": "scaling.arms",
+    "--variants": "ablate.variants",
+}
+
+# subcommand -> help, and the flags it takes beyond --config, --out and --seed
+_COMMANDS = {
+    "gen-world": ("write a world manifest", ()),
+    "gen-data": ("simulate and save all subject datasets", ()),
+    "pretrain": ("multi-subject pretraining", ("--data",)),
+    "finetune": ("fine-tune on a held-out subject",
+                 ("--data", "--checkpoint", "--subject", "--sessions")),
+    "scratch": ("single-subject training from scratch",
+                ("--data", "--subject", "--sessions")),
+    "eval": ("evaluate a checkpoint", ("--data", "--checkpoint", "--subject")),
+    "scaling": ("data-scaling experiment", ("--data", "--subject", "--sessions", "--arms")),
+    "ablate": ("component ablation sweep",
+               ("--data", "--subject", "--sessions", "--variants")),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mindalign",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, data=False, checkpoint=False, subject=False, sessions=False):
+    for command, (help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", type=Path, default=None,
                        help="flat dotted-key config file (defaults if omitted)")
-        p.add_argument("--out", type=Path, required=True,
-                       help="output directory (all side effects land here)")
-        p.add_argument("--seed", type=int, default=None, help="master seed override")
-        if data:
-            p.add_argument("--data", type=Path, default=None, help="dataset directory")
-        if checkpoint:
-            p.add_argument("--checkpoint", type=Path, default=None)
-        if subject:
-            p.add_argument("--subject", type=str, default=None)
-        if sessions:
-            p.add_argument("--sessions", type=str, default=None)
-
-    common(sub.add_parser("gen-world", help="write a world manifest"))
-    common(sub.add_parser("gen-data", help="simulate and save all subject datasets"))
-    common(sub.add_parser("pretrain", help="multi-subject pretraining"), data=True)
-    common(sub.add_parser("finetune", help="fine-tune on a held-out subject"),
-           data=True, checkpoint=True, subject=True, sessions=True)
-    common(sub.add_parser("scratch", help="single-subject training from scratch"),
-           data=True, subject=True, sessions=True)
-    common(sub.add_parser("eval", help="evaluate a checkpoint"),
-           data=True, checkpoint=True, subject=True)
-    scaling = sub.add_parser("scaling", help="data-scaling experiment")
-    common(scaling, data=True, subject=True)
-    scaling.add_argument("--sessions", type=str, default=None,
-                         help="comma-separated session grid")
-    scaling.add_argument("--arms", type=str, default=None,
-                         help="comma-separated subset of pretrained,scratch")
-    ablate = sub.add_parser("ablate", help="component ablation sweep")
-    common(ablate, data=True, subject=True, sessions=True)
-    ablate.add_argument("--variants", type=str, default=None)
+        for flag in ("--out", "--seed", *flags):
+            key = _FLAG_KEYS.get(f"{command} {flag}", _FLAG_KEYS[flag])
+            p.add_argument(flag, dest=key, metavar="VALUE", required=flag == "--out",
+                           help=f"sets {key}")
     return parser
 
 
@@ -73,33 +78,10 @@ def _read(load, path: Path, error: type[Exception]):
 
 
 def _resolve(args) -> RunConfig:
-    rc = _read(load_config, args.config, ConfigError)
-    kw = {"command": args.command, "out": args.out}
-    if args.seed is not None:
-        kw["seed"] = args.seed
-    if getattr(args, "data", None):
-        kw["data"] = args.data
-    if getattr(args, "checkpoint", None):
-        kw["checkpoint"] = args.checkpoint
-    if getattr(args, "subject", None):
-        kw["subject"] = args.subject
-    sessions = getattr(args, "sessions", None)
-    if sessions is not None and args.command != "scaling":
-        try:
-            kw["sessions"] = int(sessions)
-        except ValueError:
-            raise ConfigError(f"--sessions: expected an integer, got {sessions!r}")
-    if args.command == "scaling":
-        if sessions is not None:
-            try:
-                kw["scaling_sessions"] = tuple(int(t) for t in sessions.split(","))
-            except ValueError:
-                raise ConfigError(f"--sessions: expected integers, got {sessions!r}")
-        if getattr(args, "arms", None):
-            kw["scaling_arms"] = tuple(t for t in args.arms.split(",") if t)
-    if args.command == "ablate" and getattr(args, "variants", None):
-        kw["ablate_variants"] = tuple(t for t in args.variants.split(",") if t)
-    return with_overrides(rc, **kw)
+    """The config file with the given flags' values laid over it as text."""
+    given = {key: value for key, value in vars(args).items()
+             if key != "config" and value is not None}
+    return _read(lambda path: load_config(path, given), args.config, ConfigError)
 
 
 def _out_dir(rc: RunConfig) -> Path:
@@ -185,8 +167,7 @@ def cmd_train(rc: RunConfig) -> int:
 
 
 def cmd_eval(rc: RunConfig) -> int:
-    from . import seeds
-    from .evaluate import evaluate_model, reconstruct, save_image
+    from .evaluate import evaluate_model, save_image
     from .store import write_arrays
     out = _out_dir(rc)
     world, datasets = _load_data(rc)
@@ -197,17 +178,15 @@ def cmd_eval(rc: RunConfig) -> int:
         raise DataError(f"checkpoint has no ridge layer for subject {sid!r}")
     report = evaluate_model(mp, world, ds, rc.eval)
     report.save(out / "report.txt")
-    # the same seeded reconstructions the metrics were computed from
-    recs = reconstruct(mp, world, ds.shared_voxels(), sid,
-                       seed=seeds.derive(rc.eval.seed, "recon"))
     rec_dir = out / "recons"
     rec_dir.mkdir(exist_ok=True)
+    recons = report.recons  # the images the report's metrics were computed from
     truths = world.images[ds.image_ids[ds.is_shared]]
-    for i in range(recs["final"].shape[0]):
-        save_image(rec_dir / f"recon_{i:03d}.ppm", recs["final"][i])
+    for i in range(recons.shape[0]):
+        save_image(rec_dir / f"recon_{i:03d}.ppm", recons[i])
         save_image(rec_dir / f"truth_{i:03d}.ppm", truths[i])
     write_arrays(rec_dir / "images.bin", {},
-                 {"recon": recs["final"].astype("<f4"), "truth": truths.astype("<f4")})
+                 {"recon": recons.astype("<f4"), "truth": truths.astype("<f4")})
     return EXIT_OK
 
 
@@ -263,8 +242,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         rc = _resolve(args)
-        if not rc.paths["out"]:
-            raise ConfigError("--out is required")
         return _DISPATCH[args.command](rc)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -3,12 +3,13 @@
 One master seed in the file; every subsystem stream (world generation,
 training, evaluation) is derived from it, so any piece can be reproduced
 independently. Unknown keys are hard errors; the echo materializes every
-default, and parse(echo(cfg)) == cfg.
+default, and parse(echo(cfg)) == cfg. Command-line flags are keys too:
+`load_config` lays their text over the file's items before the one parse.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import seeds
@@ -85,7 +86,11 @@ def _parse_int_list(raw: str, key: str) -> tuple[int, ...]:
 
 def parse_config(text: str) -> RunConfig:
     """Materialize a full RunConfig from flat text; unknown keys are errors."""
-    raw = parse_flat(text)
+    return _materialize(parse_flat(text))
+
+
+def _materialize(raw: dict[str, str]) -> RunConfig:
+    """Cast, build and validate a RunConfig from flat ``key -> value`` text."""
     registry = _registry()
     values: dict[str, object] = {}
     for key, val in raw.items():
@@ -165,36 +170,13 @@ def echo_config(rc: RunConfig) -> str:
     return format_flat(items)
 
 
-def load_config(path: Path | None) -> RunConfig:
-    """Parse a config file, or all defaults when no path is given."""
-    if path is None:
-        return parse_config("")
-    try:
-        return parse_config(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
-
-
-def with_overrides(rc: RunConfig, **kw) -> RunConfig:
-    """Apply CLI-level overrides (command, seed, paths, subject, sessions...)."""
-    command = kw.get("command", rc.command)
-    master = kw.get("seed", rc.seed)
-    train = rc.train
-    if master != rc.seed:
-        train = replace(train, seed=seeds.derive(master, "train"))
-        ev = replace(rc.eval, seed=seeds.derive(master, "eval"))
-    else:
-        ev = rc.eval
-    if "subject" in kw and kw["subject"]:
-        train = replace(train, held_out_subject=kw["subject"])
-    if "sessions" in kw and kw["sessions"] is not None:
-        train = replace(train, n_finetune_sessions=int(kw["sessions"]))
-    paths = dict(rc.paths)
-    for name in ("out", "data", "checkpoint"):
-        if kw.get(name):
-            paths[name] = str(kw[name])
-    return RunConfig(command=command, world=rc.world, model=rc.model, train=train,
-                     eval=ev, seed=master, paths=paths,
-                     scaling_sessions=kw.get("scaling_sessions", rc.scaling_sessions),
-                     scaling_arms=kw.get("scaling_arms", rc.scaling_arms),
-                     ablate_variants=kw.get("ablate_variants", rc.ablate_variants))
+def load_config(path: Path | None, overrides: dict[str, str] | None = None) -> RunConfig:
+    """Parse a config file (all defaults when no path is given) with the
+    ``overrides`` items laid over its own, exactly as if written in it."""
+    text = ""
+    if path is not None:
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+    return _materialize({**parse_flat(text), **(overrides or {})})

@@ -58,6 +58,8 @@ class EvalReport:
     metrics: dict[str, float]
     protocol: dict[str, object]
     config_echo: dict[str, object] = field(default_factory=dict)
+    # the final reconstructions the image metrics were scored on, if any
+    recons: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def to_text(self) -> str:
         items: dict[str, object] = {}
@@ -400,16 +402,18 @@ def evaluate_model(mp: ModelParams, world: WorldSpec, dataset: SubjectDataset,
                                   eval_cfg.repetitions,
                                   seed=seeds.derive(eval_cfg.seed, "retrieval")))
 
+    recons = None
     if include_reconstruction:
-        recs = reconstruct(mp, world, test_vox, sid,
-                           seed=seeds.derive(eval_cfg.seed, "recon"))
-        metrics.update(_image_metrics(recs["final"], test_imgs, world))
+        recons = reconstruct(mp, world, test_vox, sid,
+                             seed=seeds.derive(eval_cfg.seed, "recon"))["final"]
+        metrics.update(_image_metrics(recons, test_imgs, world))
         if eval_cfg.include_brain_corr:
             enc = EncodingModel.fit_from_dataset(world, dataset)
-            for region, r in brain_correlation(recs["final"], test_vox, enc).items():
+            for region, r in brain_correlation(recons, test_vox, enc).items():
                 metrics[f"brain_corr_{region}"] = r
 
-    return EvalReport(metrics=metrics, protocol=_protocol(eval_cfg, n_test))
+    return EvalReport(metrics=metrics, protocol=_protocol(eval_cfg, n_test),
+                      recons=recons)
 
 
 def random_baseline_report(world: WorldSpec, dataset: SubjectDataset,
@@ -490,42 +494,21 @@ class ScalingResult:
                 writer.writerow([arm, k, name, repr(float(value)), seed])
 
 
-def scaling_experiment(world: WorldSpec, datasets: dict[str, SubjectDataset],
-                       held_out: str, session_grid: tuple[int, ...],
-                       with_pretraining: bool, cfg: TrainConfig,
-                       mcfg, eval_cfg: EvalConfig,
-                       checkpoint: ModelParams | None = None) -> dict[int, EvalReport]:
-    """One arm of the data-scaling curve: train at each k, then evaluate."""
-    if not session_grid:
-        raise ConfigError("session grid is empty")
-    if with_pretraining and checkpoint is None:
-        raise ConfigError("pretrained arm needs a checkpoint")
-    target = datasets[held_out]
-    arm = "pretrained" if with_pretraining else "scratch"
-
-    reports = {}
-    for k in session_grid:
-        kcfg = replace(cfg, seed=seeds.derive(cfg.seed, "scaling", arm, k))
-        if with_pretraining:
-            mp, _ = finetune(checkpoint, world, target, k, kcfg)
-        else:
-            mp, _ = train_from_scratch(world, target, k, kcfg, mcfg)
-        reports[k] = evaluate_model(mp, world, target, eval_cfg)
-    return reports
-
-
 def run_scaling(world: WorldSpec, datasets: dict[str, SubjectDataset],
                 held_out: str, session_grid: tuple[int, ...],
                 arms: tuple[str, ...], cfg: TrainConfig, mcfg,
                 eval_cfg: EvalConfig) -> ScalingResult:
     """Both scaling arms plus the normalization anchors.
 
-    The anchor is the pretrained model fine-tuned on every available session;
-    the baseline scores random images (retrieval anchored at chance).
+    Each arm trains at every k of the grid, then evaluates. The anchor is the
+    pretrained model fine-tuned on every available session; the baseline
+    scores random images (retrieval anchored at chance).
     """
     for arm in arms:
         if arm not in ("pretrained", "scratch"):
             raise ConfigError(f"unknown scaling arm {arm!r}")
+    if arms and not session_grid:
+        raise ConfigError("session grid is empty")
     target = datasets[held_out]
     n_sessions = int(target.session_index.max()) + 1
     # the normalization anchor is the full-data pretrained model, so the
@@ -534,10 +517,14 @@ def run_scaling(world: WorldSpec, datasets: dict[str, SubjectDataset],
     checkpoint, _ = pretrain(world, pre_sets, cfg, mcfg)
     result_arms: dict[str, dict[int, EvalReport]] = {}
     for arm in arms:
-        result_arms[arm] = scaling_experiment(
-            world, datasets, held_out, session_grid,
-            with_pretraining=(arm == "pretrained"), cfg=cfg, mcfg=mcfg,
-            eval_cfg=eval_cfg, checkpoint=checkpoint)
+        result_arms[arm] = {}
+        for k in session_grid:
+            kcfg = replace(cfg, seed=seeds.derive(cfg.seed, "scaling", arm, k))
+            if arm == "pretrained":
+                mp, _ = finetune(checkpoint, world, target, k, kcfg)
+            else:
+                mp, _ = train_from_scratch(world, target, k, kcfg, mcfg)
+            result_arms[arm][k] = evaluate_model(mp, world, target, eval_cfg)
     if "pretrained" in result_arms and n_sessions in result_arms["pretrained"]:
         anchor = result_arms["pretrained"][n_sessions]
     else:

@@ -126,14 +126,8 @@ class ModelParams:
     def token_dim(self) -> int:
         return self.world_cfg.token_dim
 
-    def named_parameters(self) -> dict[str, Tensor]:
-        return self.params
-
     def parameter_count(self) -> int:
         return sum(p.size for p in self.params.values())
-
-    def shared_parameter_names(self) -> list[str]:
-        return [k for k in self.params if not k.startswith("ridge.")]
 
 
 # -- initialization -------------------------------------------------------

@@ -113,9 +113,6 @@ class WorldSpec:
     def subject_ids(self) -> list[str]:
         return list(self.subjects)
 
-    def image(self, image_id: int) -> np.ndarray:
-        return self.images[int(image_id)]
-
 
 @dataclass
 class SubjectDataset:

@@ -118,7 +118,7 @@ def test_criterion_1_gradient_integrity():
                                                   teach_true, teacher_pred), 0.25)
             return total_loss(prior_l, contr_l, low_l, w)
 
-        err = gradcheck(graph, mp.named_parameters(), eps=1e-5,
+        err = gradcheck(graph, mp.params, eps=1e-5,
                         coords_per_param=2, seed=point)
         worst = max(worst, err)
     elapsed = time.perf_counter() - start

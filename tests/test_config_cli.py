@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mindalign.cli import _build_parser, main
-from mindalign.config import echo_config, parse_config, with_overrides
+from mindalign.config import echo_config, parse_config
 from mindalign.errors import ConfigError
 from mindalign.model import load_checkpoint, save_checkpoint
 from mindalign.store import read_arrays, write_arrays
@@ -105,14 +105,19 @@ class TestConfig:
         assert a.eval.seed != b.eval.seed
         assert a.world_seed != b.world_seed
 
-    def test_overrides(self):
-        rc = parse_config(SMALL_CFG)
-        rc2 = with_overrides(rc, command="eval", subject="s9", sessions=3,
-                             out="/tmp/x")
-        assert rc2.command == "eval"
-        assert rc2.train.held_out_subject == "s9"
-        assert rc2.train.n_finetune_sessions == 3
-        assert rc2.paths["out"] == "/tmp/x"
+    def test_overrides(self, tmp_path):
+        (tmp_path / "c.cfg").write_text(SMALL_CFG)
+        out = tmp_path / "x"
+        # without --data the run stops (exit 2) after echoing its config
+        assert main(["finetune", "--config", str(tmp_path / "c.cfg"), "--subject", "s9",
+                     "--sessions", "3", "--seed", "5", "--out", str(out)]) == 2
+        rc = parse_config((out / "config.txt").read_text())
+        assert rc.command == "finetune"
+        assert rc.train.held_out_subject == "s9"
+        assert rc.train.n_finetune_sessions == 3
+        assert rc.seed == 5
+        assert rc.train.seed == parse_config("seed = 5\n").train.seed
+        assert rc.eval.seed == parse_config("seed = 5\n").eval.seed
 
 
 def _dirhash(p: Path) -> str:
@@ -465,3 +470,77 @@ def test_fuzzed_argv_exits_with_a_contract_code(fuzz_root, command, config, out,
         assert exc.code == 2, argv
         return
     assert code in (0, 2, 3, 4), argv
+
+
+# -- flags are config keys ---------------------------------------------------
+
+# the key each flag sets and a value to set it to; scaling's --sessions sets
+# the session grid
+FLAG_CASES = {
+    "--seed": ("seed", "5"),
+    "--data": ("paths.data", "missing-data"),
+    "--checkpoint": ("paths.checkpoint", "missing.me2c"),
+    "--subject": ("train.held_out_subject", "s1"),
+    "--sessions": ("train.n_finetune_sessions", "3"),
+    "scaling --sessions": ("scaling.sessions", "1,3"),
+    "--arms": ("scaling.arms", "scratch"),
+    "--variants": ("ablate.variants", "Ret,All"),
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, flags in sorted(SUBCOMMAND_FLAGS.items())
+    for flag in flags if flag not in ("--config", "--out")])
+def test_flag_equals_its_config_key(tmp_path, command, flag):
+    """A flag gives the same outputs, config echo included, as its value
+    written under its key in the --config file."""
+    key, value = FLAG_CASES.get(f"{command} {flag}", FLAG_CASES[flag])
+    if key.startswith("paths."):
+        value = str(tmp_path / value)
+    others = [line for line in SMALL_CFG.splitlines() if not line.startswith(f"{key} ")]
+    (tmp_path / "flag.cfg").write_text(SMALL_CFG)
+    (tmp_path / "key.cfg").write_text("\n".join([*others, f"{key} = {value}"]) + "\n")
+    by_flag = main([command, "--config", str(tmp_path / "flag.cfg"), flag, value,
+                    "--out", str(tmp_path / "by_flag")])
+    by_key = main([command, "--config", str(tmp_path / "key.cfg"),
+                   "--out", str(tmp_path / "by_key")])
+    assert by_flag == by_key
+    echo = (tmp_path / "by_flag" / "config.txt").read_text()
+    assert f"{key} = {value}" in echo.splitlines()
+    assert _dirhash(tmp_path / "by_flag") == _dirhash(tmp_path / "by_key")
+
+
+def test_out_flag_is_paths_out(tmp_path):
+    """--out sets paths.out, which the echo never records."""
+    (tmp_path / "plain.cfg").write_text(SMALL_CFG)
+    (tmp_path / "out.cfg").write_text(SMALL_CFG + f"paths.out = {tmp_path / 'file'}\n")
+    for name in ("plain", "out"):
+        assert main(["gen-world", "--config", str(tmp_path / f"{name}.cfg"),
+                     "--out", str(tmp_path / name)]) == 0
+    assert not (tmp_path / "file").exists()
+    assert _dirhash(tmp_path / "plain") == _dirhash(tmp_path / "out")
+
+
+@pytest.mark.parametrize("argv, line", [
+    pytest.param(["scaling", "--sessions", "1,,3"], "scaling.sessions = 1,3",
+                 id="empty-grid-entry"),
+    pytest.param(["scratch", "--subject", ""], "train.held_out_subject = ",
+                 id="empty-subject"),
+    pytest.param(["scaling", "--arms", ""], "scaling.arms = ", id="empty-arms"),
+    pytest.param(["ablate", "--variants", ""], "ablate.variants = ", id="empty-variants"),
+])
+def test_flag_value_reads_as_in_a_file(tmp_path, argv, line):
+    # without --data the run stops (exit 2) after echoing its config
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert line in (tmp_path / "o" / "config.txt").read_text().splitlines()
+
+
+@pytest.mark.parametrize("argv, key", [
+    pytest.param(["gen-world", "--seed", "x"], "seed", id="seed"),
+    pytest.param(["finetune", "--sessions", "x"], "train.n_finetune_sessions",
+                 id="sessions"),
+])
+def test_malformed_flag_value_names_its_key(tmp_path, capsys, argv, key):
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: key {key!r}: expected int, got 'x'\n"
+    assert not (tmp_path / "o").exists()

@@ -169,7 +169,7 @@ class TestFinetune:
     def test_ridge_only_flag_freezes_shared(self, tiny_world, tiny_datasets, tiny_mcfg):
         mp = self._checkpoint(tiny_world, tiny_datasets, tiny_mcfg)
         shared_before = {k: mp.params[k].data.copy()
-                         for k in mp.shared_parameter_names()}
+                         for k in mp.params if not k.startswith("ridge.")}
         cfg = TrainConfig(**{**FAST.__dict__, "ridge_only_finetune": True})
         mpf, _ = finetune(mp, tiny_world, tiny_datasets["s3"], 2, cfg)
         for k, v in shared_before.items():
@@ -193,7 +193,7 @@ class TestFinetune:
         assert not any(mpf.params[k] is v for k, v in mp.params.items() if k in mpf.params)
         if ridge_only:
             assert all(mpf.params[k].grad is None and not mpf.params[k].requires_grad
-                       for k in mpf.shared_parameter_names())
+                       for k in mpf.params if not k.startswith("ridge."))
 
     def test_ridge_only_result_still_trains_converter(self, tiny_world, tiny_datasets,
                                                       tiny_mcfg):
