@@ -85,6 +85,9 @@ def _resolve(args) -> RunConfig:
 
 
 def _out_dir(rc: RunConfig) -> Path:
+    # Path("") is the current directory, which no command may write into
+    if not rc.paths["out"]:
+        raise ConfigError("this command needs --out (or paths.out)")
     out = Path(rc.paths["out"])
     try:
         echo = echo_config(rc).encode("utf-8")

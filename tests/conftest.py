@@ -1,9 +1,15 @@
 """Shared fixtures: a small world and model the whole suite can reuse."""
 
 import pytest
+from hypothesis import settings
 
 from mindalign.model import ModelConfig
 from mindalign.world import WorldConfig, generate_dataset, generate_world, normalize
+
+# every run draws the same examples, so a failure reproduces; a test's own
+# @settings keep their max_examples and take the rest from this profile
+settings.register_profile("suite", derandomize=True, deadline=None)
+settings.load_profile("suite")
 
 TINY_WORLD = WorldConfig(image_hw=8, channels=3, n_tokens=8, d_token=32, vae_hw=4,
                          n_subjects=4, voxels_min=40, voxels_max=80, n_sessions=4,

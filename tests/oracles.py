@@ -182,3 +182,29 @@ def adamw_reference_step(p, g, m, v, t, lr, b1, b2, eps, wd):
     vhat = v / (1 - b2 ** t)
     p = p - lr * mhat / (math.sqrt(vhat) + eps)
     return p, m, v
+
+
+def adamw_unblocked_step(params, grads, m, v, t, lr, b1, b2, eps, wd, decay_mask=None):
+    """One whole-array AdamW step over named arrays, updating them in place.
+
+    The one oracle here that is not a scalar loop: the update written as
+    one numpy expression per term, each with a temporary as large as the
+    parameter, which the optimizer's blocked update must match bit for bit.
+    A name without an entry in ``grads`` still decays if masked in.
+    """
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
+    for name, p in params.items():
+        g = grads.get(name)
+        decay = wd if (decay_mask is None or decay_mask.get(name, False)) else 0.0
+        if decay:
+            p -= lr * decay * p
+        if g is None:
+            continue
+        mm = m.setdefault(name, np.zeros_like(p))
+        vv = v.setdefault(name, np.zeros_like(p))
+        mm *= b1
+        mm += (1.0 - b1) * g
+        vv *= b2
+        vv += (1.0 - b2) * g * g
+        p -= lr * (mm / bc1) / (np.sqrt(vv / bc2) + eps)

@@ -521,6 +521,17 @@ def test_out_flag_is_paths_out(tmp_path):
     assert _dirhash(tmp_path / "plain") == _dirhash(tmp_path / "out")
 
 
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
+def test_empty_out_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys, command):
+    # Path("") is the current directory, so an empty --out must stop the
+    # command before it writes anything there
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--out", ""]) == 2
+    assert capsys.readouterr().err == ("config error: this command needs --out "
+                                       "(or paths.out)\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv, line", [
     pytest.param(["scaling", "--sessions", "1,,3"], "scaling.sessions = 1,3",
                  id="empty-grid-entry"),

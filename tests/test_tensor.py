@@ -29,6 +29,7 @@ from mindalign.tensor import (
     scale,
     sub,
     tensor_mean,
+    tensor_slice,
     tensor_sum,
     transpose,
 )
@@ -223,3 +224,94 @@ class TestProperties:
         x = Tensor(rand((4, 5), 50))
         np.testing.assert_allclose(tensor_mean(x, axis=0).data,
                                    tensor_sum(x, axis=0).data / 4.0, atol=1e-15)
+
+
+# -- random graphs -----------------------------------------------------------
+
+# Every node of a random graph is 3 x 4. Each op below takes its operands
+# from the nodes built so far, by index, so one node can feed several later
+# ones (shared subexpressions, and add(a, a)-style repeats). Leaves: x and y
+# (3 x 4), W (4 x 4), a row bias (4,), a column scale (3, 1), layernorm's
+# gain and shift. ``K`` keeps l2_normalize's rows far from its zero clamp.
+_GRAPH_OPS = {
+    "add": lambda a, b, bd, k: add(a, b),
+    "sub": lambda a, b, bd, k: sub(a, b),
+    "mul": lambda a, b, bd, k: mul(a, b),
+    "scale": lambda a, b, bd, k: scale(a, -0.7),
+    "add_bias": lambda a, b, bd, k: add(a, bd["bias"]),
+    "mul_col": lambda a, b, bd, k: mul(a, bd["col"]),
+    "matmul": lambda a, b, bd, k: matmul(a, bd["W"]),
+    "transpose": lambda a, b, bd, k: transpose(reshape(a, (4, 3))),
+    "rows": lambda a, b, bd, k: tensor_slice(a, [2, 0, 2]),
+    "cols": lambda a, b, bd, k: tensor_slice(a, (slice(None), [3, 1, 1, 0])),
+    "concat0": lambda a, b, bd, k: concat([a[0:1], b[1:3]], axis=0),
+    "concat1": lambda a, b, bd, k: concat([b[:, 0:3], a[:, 1:2]], axis=1),
+    "colsum": lambda a, b, bd, k: add(a, tensor_sum(b, axis=0, keepdims=True)),
+    "rowmean": lambda a, b, bd, k: mul(a, tensor_mean(b, axis=1, keepdims=True)),
+    "sum": lambda a, b, bd, k: add(a, scale(tensor_sum(b), 0.1)),
+    "gelu": lambda a, b, bd, k: gelu(a),
+    "layernorm": lambda a, b, bd, k: layernorm(a, bd["gain"], bd["shift"]),
+    "l2_normalize": lambda a, b, bd, k: l2_normalize(add(a, k["K"])),
+}
+_GRAPH_STEPS = st.lists(st.tuples(st.sampled_from(sorted(_GRAPH_OPS)), st.integers(0, 99),
+                                  st.integers(0, 99)), min_size=1, max_size=6)
+
+
+def _random_graph(steps, seed):
+    """Leaf bindings, and a graph that records every tensor it builds."""
+    r = np.random.Generator(np.random.PCG64(seed))
+    shapes = {"x": (3, 4), "y": (3, 4), "W": (4, 4), "bias": (4,), "col": (3, 1),
+              "gain": (4,), "shift": (4,)}
+    bindings = {k: Tensor(0.8 * r.normal(size=s), requires_grad=True)
+                for k, s in shapes.items()}
+    soft = np.abs(r.normal(size=(3, 4)))
+    consts = {"K": Tensor(3.0 + r.random((3, 4))), "T": Tensor(r.normal(size=(3, 4))),
+              "C": Tensor(r.normal(size=(3, 4))), "soft": soft / soft.sum(1, keepdims=True)}
+    built: list[Tensor] = []
+
+    def graph(bd):
+        built.clear()
+        nodes = [bd["x"], bd["y"]]
+        for op, i, j in steps:
+            nodes.append(_GRAPH_OPS[op](nodes[i % len(nodes)], nodes[j % len(nodes)],
+                                        bd, consts))
+        built.extend(nodes[2:])
+        last = nodes[-1]
+        # the output reads the last node and two earlier ones, so that nodes
+        # reach it by more than one path
+        out = add(add(mse_loss(last, consts["T"]),
+                      tensor_sum(mul(nodes[steps[0][1] % len(nodes)], consts["C"]))),
+                  add(l1_loss(nodes[steps[-1][2] % len(nodes)], consts["T"]),
+                      cross_entropy_soft(last, consts["soft"])))
+        # scaled so that gradcheck's 1e-8 floor on |gradient| sits at 1e-5
+        # in the unscaled units, above the rounding noise (about 1e-10) of a
+        # central difference of an O(10) output
+        out = scale(out, 1e-3)
+        built.append(out)
+        return out
+
+    return bindings, graph, built
+
+
+class TestRandomGraphs:
+    @settings(max_examples=40)
+    @given(steps=_GRAPH_STEPS, seed=st.integers(0, 2 ** 16))
+    def test_gradients_match_central_differences(self, steps, seed):
+        bindings, graph, _ = _random_graph(steps, seed)
+        assert gradcheck(graph, bindings) < 1e-4
+
+    @settings(max_examples=40)
+    @given(steps=_GRAPH_STEPS, seed=st.integers(0, 2 ** 16))
+    def test_no_two_gradients_share_memory(self, steps, seed):
+        # the contract a gradient arena must keep: add and sub hand one array
+        # to both parents, so a leaf that kept it instead of adding it into
+        # its own buffer would alias another tensor's gradient
+        bindings, graph, built = _random_graph(steps, seed)
+        graph(bindings).backward()
+        tensors = [*bindings.values(), *built]
+        grads = [t.grad for t in tensors if t.grad is not None]
+        for i, g in enumerate(grads):
+            for h in grads[i + 1:]:
+                assert not np.shares_memory(g, h)
+            for t in tensors:
+                assert not np.shares_memory(g, t.data)
