@@ -4,7 +4,9 @@ Graphs are built define-by-run: every operation returns a new ``Tensor``
 holding references to its parents and a closure implementing its backward
 rule. ``Tensor.backward`` walks the recorded graph in reverse topological
 order, hands each node's gradient to its closure, and accumulates gradients
-into every leaf that requires them.
+into every leaf that requires them. A closure computes an operand's gradient
+only if that operand requires grad, so frozen weights and constant inputs
+cost nothing in the backward pass.
 
 A closure references the op's inputs but never its own output, so a graph
 is acyclic: reference counting frees it, activations and intermediate
@@ -130,11 +132,18 @@ class Tensor:
         self.grad = None
 
     def _acc(self, g: np.ndarray) -> None:
+        # gradients are computed only for operands that require them: each
+        # closure checks before it computes, and this check covers the root
+        # of `backward`. The first gradient is written in one pass into a
+        # fresh array of this shape: `g + 0.0` has the bits of `0.0 + g`
+        # (-0.0 becomes +0.0), and `g` itself is never kept, since add and
+        # sub hand one array to both parents
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def backward(self, upstream: "Tensor | np.ndarray | None" = None) -> None:
         """Accumulate gradients of a scalar (or upstream-weighted) output."""
@@ -217,8 +226,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor._from_op(a.data + b.data, (a, b))
 
     def _bwd(g):
-        a._acc(_unbroadcast(g, a.shape))
-        b._acc(_unbroadcast(g, b.shape))
+        if a.requires_grad:
+            a._acc(_unbroadcast(g, a.shape))
+        if b.requires_grad:
+            b._acc(_unbroadcast(g, b.shape))
 
     out._backward_fn = _bwd
     return out
@@ -229,8 +240,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor._from_op(a.data - b.data, (a, b))
 
     def _bwd(g):
-        a._acc(_unbroadcast(g, a.shape))
-        b._acc(_unbroadcast(-g, b.shape))
+        if a.requires_grad:
+            a._acc(_unbroadcast(g, a.shape))
+        if b.requires_grad:
+            b._acc(_unbroadcast(-g, b.shape))
 
     out._backward_fn = _bwd
     return out
@@ -241,8 +254,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor._from_op(a.data * b.data, (a, b))
 
     def _bwd(g):
-        a._acc(_unbroadcast(g * b.data, a.shape))
-        b._acc(_unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            a._acc(_unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            b._acc(_unbroadcast(g * a.data, b.shape))
 
     out._backward_fn = _bwd
     return out
@@ -269,8 +284,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor._from_op(a.data @ b.data, (a, b))
 
     def _bwd(g):
-        a._acc(g @ b.data.T)
-        b._acc(a.data.T @ g)
+        if a.requires_grad:
+            a._acc(g @ b.data.T)
+        if b.requires_grad:
+            b._acc(a.data.T @ g)
 
     out._backward_fn = _bwd
     return out
@@ -322,6 +339,8 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 
     def _bwd(g):
         for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
+            if not t.requires_grad:
+                continue
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(lo, hi)
             t._acc(g[tuple(sl)])
@@ -380,11 +399,14 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
 
     def _bwd(dy):
         lead = tuple(range(dy.ndim - 1))
-        gain._acc((dy * xhat).sum(axis=lead))
-        bias._acc(dy.sum(axis=lead))
-        dxh = dy * gain.data
-        x._acc(inv * (dxh - dxh.mean(axis=-1, keepdims=True)
-                      - xhat * (dxh * xhat).mean(axis=-1, keepdims=True)))
+        if gain.requires_grad:
+            gain._acc((dy * xhat).sum(axis=lead))
+        if bias.requires_grad:
+            bias._acc(dy.sum(axis=lead))
+        if x.requires_grad:
+            dxh = dy * gain.data
+            x._acc(inv * (dxh - dxh.mean(axis=-1, keepdims=True)
+                          - xhat * (dxh * xhat).mean(axis=-1, keepdims=True)))
 
     out._backward_fn = _bwd
     return out
@@ -420,8 +442,10 @@ def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
 
     def _bwd(g):
         g = g * np.sign(diff) / n
-        pred._acc(g)
-        target._acc(-g)
+        if pred.requires_grad:
+            pred._acc(g)
+        if target.requires_grad:
+            target._acc(-g)
 
     out._backward_fn = _bwd
     return out
@@ -438,8 +462,10 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
 
     def _bwd(g):
         g = g * 2.0 * diff / n
-        pred._acc(g)
-        target._acc(-g)
+        if pred.requires_grad:
+            pred._acc(g)
+        if target.requires_grad:
+            target._acc(-g)
 
     out._backward_fn = _bwd
     return out
@@ -497,6 +523,15 @@ def gradcheck(graph: Graph, bindings: Mapping[str, Tensor], eps: float = 1e-5,
     The graph output must be scalar. With `coords_per_param` set, only that
     many randomly chosen coordinates per binding are probed (necessary for
     large parameter sets); otherwise every coordinate is checked.
+
+    Each coordinate's error is `|a - n| / max(|a|, |n|, 1e-8)` for analytic
+    `a` and numeric `n`. The 1e-8 floor is absolute, not relative to the
+    output: rounding the output costs a central difference about
+    ulp(output) / (2 * eps), 1e-11 to 1e-10 for an O(1-10) output at the
+    default eps. A coordinate whose true gradient is under about 1e-6 can
+    then score above 1e-4 on rounding alone, and one near the floor up to
+    1e-2. Tests of random graphs therefore scale their output down (by
+    1e-3 in `TestRandomGraphs`) so that the floor sits above that noise.
     """
     out = graph(bindings)
     if out.size != 1:

@@ -1,6 +1,8 @@
 """Autograd engine: op semantics, gradient checks, invariants."""
 
 import gc
+import itertools
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -182,6 +184,77 @@ class TestGradcheck:
         assert err < 1e-4
 
 
+# every op with more than one operand: the operand shapes, with broadcasting
+# where the op allows it
+_MULTI_OPERAND_OPS = {
+    "add": (add, [(3, 4), (4,)]),
+    "sub": (sub, [(3, 4), (3, 1)]),
+    "mul": (mul, [(3, 4), (4,)]),
+    "matmul": (matmul, [(3, 4), (4, 5)]),
+    "concat": (lambda *ts: concat(ts, axis=1), [(3, 2), (3, 1), (3, 4)]),
+    "layernorm": (layernorm, [(3, 4), (4,), (4,)]),
+    "l1_loss": (l1_loss, [(3, 4), (3, 4)]),
+    "mse_loss": (mse_loss, [(3, 4), (3, 4)]),
+}
+
+
+class TestOnlyNeededGradients:
+    @pytest.mark.parametrize("name", sorted(_MULTI_OPERAND_OPS))
+    def test_each_frozen_subset_leaves_other_gradients_bit_for_bit(self, name):
+        op, shapes = _MULTI_OPERAND_OPS[name]
+
+        def grads(frozen):
+            ts = [Tensor(rand(s, 70 + i), requires_grad=not f)
+                  for i, (s, f) in enumerate(zip(shapes, frozen))]
+            out = op(*ts)
+            out.backward(rand(out.shape, 80))
+            return [t.grad for t in ts]
+
+        full = grads([False] * len(shapes))
+        for frozen in itertools.product([False, True], repeat=len(shapes)):
+            for f, g, want in zip(frozen, grads(frozen), full):
+                if f:
+                    assert g is None
+                else:
+                    assert g.shape == want.shape and g.tobytes() == want.tobytes()
+
+    def test_frozen_weight_gets_no_weight_gradient(self):
+        # the skipped x.T @ g alone would be an 8 MB array
+        x = Tensor(rand((4, 1000), 63), requires_grad=True)
+        W = Tensor(rand((1000, 1000), 64))
+        out = matmul(x, W)
+        up = np.ones(out.shape)
+        tracemalloc.start()
+        try:
+            out.backward(up)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert W.grad is None and x.grad.shape == x.shape
+
+    def test_first_gradient_of_a_0d_leaf_is_an_array(self):
+        # scale hands _acc a numpy scalar, not an array
+        x = Tensor(3.0, requires_grad=True)
+        scale(x, 2.0).backward()
+        assert isinstance(x.grad, np.ndarray) and x.grad.shape == () and x.grad == 2.0
+
+    def test_first_gradient_of_a_broadcast_is_its_own_array(self):
+        # tensor_sum hands _acc a read-only, zero-stride broadcast view
+        x = Tensor(rand((3, 4), 65), requires_grad=True)
+        tensor_sum(x).backward()
+        assert isinstance(x.grad, np.ndarray) and x.grad.shape == (3, 4)
+        assert x.grad.base is None and x.grad.flags.writeable
+        assert np.array_equal(x.grad, np.ones((3, 4)))
+
+    def test_negative_zero_first_gradient_is_stored_as_positive_zero(self):
+        # 0.0 + g turns -0.0 into +0.0; a plain copy of g would keep the sign
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        tensor_sum(mul(x, Tensor(np.array([-0.0, 3.0])))).backward()
+        assert np.array_equal(x.grad, [0.0, 3.0])
+        assert not np.signbit(x.grad[0])
+
+
 class TestGraphMemory:
     def test_graph_is_acyclic(self):
         # a dropped graph is freed by reference counting alone
@@ -315,3 +388,23 @@ class TestRandomGraphs:
                 assert not np.shares_memory(g, h)
             for t in tensors:
                 assert not np.shares_memory(g, t.data)
+
+    @settings(max_examples=40)
+    @given(steps=_GRAPH_STEPS, seed=st.integers(0, 2 ** 16),
+           frozen=st.sets(st.sampled_from(("x", "y", "W", "bias", "col", "gain", "shift")),
+                          min_size=1, max_size=6))
+    def test_frozen_leaves_leave_other_gradients_bit_for_bit(self, steps, seed, frozen):
+        # every operand whose gradient a closure skips must be one that does
+        # not require grad: freezing leaves changes no other leaf's gradient
+        full, graph, _ = _random_graph(steps, seed)
+        graph(full).backward()
+        part, graph, _ = _random_graph(steps, seed)
+        for name in frozen:
+            part[name].requires_grad = False
+        graph(part).backward()
+        for name, t in part.items():
+            if name in frozen or full[name].grad is None:
+                assert t.grad is None
+            else:
+                assert t.grad.shape == t.shape
+                assert t.grad.tobytes() == full[name].grad.tobytes()
