@@ -11,3 +11,7 @@ class DataError(Exception):
 
 class SubjectLeakError(DataError):
     """A held-out subject appeared in pretraining."""
+
+
+class NonFiniteError(FloatingPointError):
+    """A NaN or Inf appeared in tensor data or in an array about to be stored."""

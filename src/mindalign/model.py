@@ -518,14 +518,17 @@ def converter_forward(mp: ModelParams, tokens_a) -> Tensor:
 
 def save_checkpoint(mp: ModelParams, path: Path) -> None:
     """One array file: the config echo, then every parameter as float32,
-    linear weights [out, in]."""
+    linear weights [out, in]. A parameter whose float32 value is not finite
+    (a NaN, an Inf, or a float64 beyond float32's range) raises
+    `NonFiniteError` naming it, and no file is written."""
     items = world_config_items(mp.world_cfg, seed=int(mp.meta.get("world_seed", 0)))
     items.update({f"model.{f.name}": getattr(mp.mcfg, f.name) for f in fields(ModelConfig)})
     # world_seed is already carried as world.seed
     items.update({f"meta.{k}": v for k, v in mp.meta.items() if k != "world_seed"})
-    write_arrays(path, items,
-                 {name: _file_layout(name, mp.params[name].data).astype("<f4")
-                  for name in sorted(mp.params)})
+    with np.errstate(over="ignore"):  # an overflow becomes inf, which write_arrays refuses
+        arrays = {name: _file_layout(name, mp.params[name].data).astype("<f4")
+                  for name in sorted(mp.params)}
+    write_arrays(path, items, arrays)
 
 
 def load_checkpoint(path: Path) -> ModelParams:

@@ -3,7 +3,9 @@
 A file is ``MAGIC`` then NumPy ``.npy`` v1.0 records (NEP 1): first a uint8
 record of `format_flat` metadata whose ``arrays`` key names the records that
 follow, then one record per array. `read_arrays` accepts exactly what
-`write_arrays` writes, and raises one `DataError` naming the path otherwise.
+`write_arrays` writes, and raises one `DataError` naming the path otherwise;
+`write_arrays` refuses, before it writes anything, an array that
+`read_arrays` would reject.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib import format as npy
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NonFiniteError
 from .flatkv import format_flat, parse_flat
 
 MAGIC = b"mindalign-arrays\n"
@@ -31,7 +33,14 @@ _MALFORMED = (ValueError, TypeError, ArithmeticError, tokenize.TokenError, UserW
 
 def write_arrays(path: Path, items: dict[str, object],
                  arrays: dict[str, np.ndarray]) -> None:
-    """Write flat metadata ``items`` and the named ``arrays`` (of `_DTYPES`)."""
+    """Write flat metadata ``items`` and the named ``arrays`` (of `_DTYPES`).
+
+    A float array holding a NaN or Inf raises `NonFiniteError` naming it."""
+    for name, arr in arrays.items():
+        if not name or "," in name or arr.dtype.str not in _DTYPES:
+            raise ValueError(f"{path}: cannot store array {name!r} of dtype {arr.dtype.str}")
+        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+            raise NonFiniteError(f"{path}: array {name!r} holds a non-finite value")
     text = format_flat({**items, "arrays": ",".join(arrays)}).encode("utf-8")
     buf = io.BytesIO()
     buf.write(MAGIC)

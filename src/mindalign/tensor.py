@@ -14,7 +14,8 @@ gradients included, as soon as its last reference is dropped, without
 waiting for the cycle collector.
 
 All data is float64. Any NaN/Inf produced by an operation is a contract
-violation and raises ``NonFiniteError`` at the op that produced it.
+violation and raises ``NonFiniteError`` at the op that produced it, naming
+that op (``non-finite value in matmul output``).
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 from scipy.special import erf
+
+from .errors import NonFiniteError
 
 __all__ = [
     "Tensor",
@@ -56,10 +59,6 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 class ShapeError(ValueError):
     """Operand shapes are inconsistent with the op signature."""
-
-
-class NonFiniteError(FloatingPointError):
-    """A NaN or Inf appeared in tensor data."""
 
 
 class GraphError(RuntimeError):
@@ -99,8 +98,12 @@ class Tensor:
         self._backward_fn: Callable[[np.ndarray], None] | None = None
 
     @classmethod
-    def _from_op(cls, data: np.ndarray, parents: tuple["Tensor", ...]) -> "Tensor":
-        out = cls(data, requires_grad=any(p.requires_grad for p in parents))
+    def _from_op(cls, op: str, data: np.ndarray, parents: tuple["Tensor", ...]) -> "Tensor":
+        """The output of ``op``; a non-finite value in it names ``op``."""
+        try:
+            out = cls(data, requires_grad=any(p.requires_grad for p in parents))
+        except NonFiniteError:
+            raise NonFiniteError(f"non-finite value in {op} output") from None
         if out.requires_grad:
             out._parents = parents
         return out
@@ -223,7 +226,7 @@ class Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = Tensor.lift(a), Tensor.lift(b)
-    out = Tensor._from_op(a.data + b.data, (a, b))
+    out = Tensor._from_op("add", a.data + b.data, (a, b))
 
     def _bwd(g):
         if a.requires_grad:
@@ -237,7 +240,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     a, b = Tensor.lift(a), Tensor.lift(b)
-    out = Tensor._from_op(a.data - b.data, (a, b))
+    out = Tensor._from_op("sub", a.data - b.data, (a, b))
 
     def _bwd(g):
         if a.requires_grad:
@@ -251,7 +254,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = Tensor.lift(a), Tensor.lift(b)
-    out = Tensor._from_op(a.data * b.data, (a, b))
+    out = Tensor._from_op("mul", a.data * b.data, (a, b))
 
     def _bwd(g):
         if a.requires_grad:
@@ -266,7 +269,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def scale(a: Tensor, c: float) -> Tensor:
     a = Tensor.lift(a)
     c = float(c)
-    out = Tensor._from_op(a.data * c, (a,))
+    out = Tensor._from_op("scale", a.data * c, (a,))
 
     def _bwd(g):
         a._acc(g * c)
@@ -281,7 +284,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError("matmul expects 2-D operands")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    out = Tensor._from_op(a.data @ b.data, (a, b))
+    out = Tensor._from_op("matmul", a.data @ b.data, (a, b))
 
     def _bwd(g):
         if a.requires_grad:
@@ -297,7 +300,7 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     a = Tensor.lift(a)
     # a contiguous copy, not a view: the BLAS calls downstream, and so the
     # bits of every result, depend on the operand layout
-    out = Tensor._from_op(np.transpose(a.data, axes).copy(), (a,))
+    out = Tensor._from_op("transpose", np.transpose(a.data, axes).copy(), (a,))
     inv = None if axes is None else tuple(np.argsort(axes))
 
     def _bwd(g):
@@ -309,7 +312,7 @@ def transpose(a: Tensor, axes=None) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     a = Tensor.lift(a)
-    out = Tensor._from_op(a.data.reshape(shape), (a,))
+    out = Tensor._from_op("reshape", a.data.reshape(shape), (a,))
 
     def _bwd(g):
         a._acc(g.reshape(a.shape))
@@ -320,7 +323,7 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def tensor_slice(a: Tensor, idx) -> Tensor:
     a = Tensor.lift(a)
-    out = Tensor._from_op(a.data[idx], (a,))
+    out = Tensor._from_op("tensor_slice", a.data[idx], (a,))
 
     def _bwd(g):
         full = np.zeros_like(a.data)
@@ -333,7 +336,7 @@ def tensor_slice(a: Tensor, idx) -> Tensor:
 
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     ts = [Tensor.lift(t) for t in tensors]
-    out = Tensor._from_op(np.concatenate([t.data for t in ts], axis=axis), tuple(ts))
+    out = Tensor._from_op("concat", np.concatenate([t.data for t in ts], axis=axis), tuple(ts))
     sizes = [t.shape[axis] for t in ts]
     offsets = np.cumsum([0] + sizes)
 
@@ -351,7 +354,7 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     a = Tensor.lift(a)
-    out = Tensor._from_op(a.data.sum(axis=axis, keepdims=keepdims), (a,))
+    out = Tensor._from_op("tensor_sum", a.data.sum(axis=axis, keepdims=keepdims), (a,))
 
     def _bwd(g):
         if axis is not None and not keepdims:
@@ -375,7 +378,7 @@ def gelu(a: Tensor) -> Tensor:
     """Exact gaussian-gated linear unit x * Phi(x)."""
     a = Tensor.lift(a)
     phi = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
-    out = Tensor._from_op(a.data * phi, (a,))
+    out = Tensor._from_op("gelu", a.data * phi, (a,))
 
     def _bwd(g):
         pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT2PI
@@ -395,7 +398,7 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = Tensor._from_op(gain.data * xhat + bias.data, (x, gain, bias))
+    out = Tensor._from_op("layernorm", gain.data * xhat + bias.data, (x, gain, bias))
 
     def _bwd(dy):
         lead = tuple(range(dy.ndim - 1))
@@ -417,7 +420,7 @@ def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
     x = Tensor.lift(x)
     r = np.sqrt((x.data * x.data).sum(axis=axis, keepdims=True))
     d = np.maximum(r, eps)
-    out = Tensor._from_op(x.data / d, (x,))
+    out = Tensor._from_op("l2_normalize", x.data / d, (x,))
 
     def _bwd(g):
         inner = (g * x.data).sum(axis=axis, keepdims=True)
@@ -437,7 +440,7 @@ def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
     if pred.shape != target.shape:
         raise ShapeError(f"l1_loss shapes differ: {pred.shape} vs {target.shape}")
     diff = pred.data - target.data
-    out = Tensor._from_op(np.abs(diff).mean(), (pred, target))
+    out = Tensor._from_op("l1_loss", np.abs(diff).mean(), (pred, target))
     n = pred.size
 
     def _bwd(g):
@@ -457,7 +460,7 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     if pred.shape != target.shape:
         raise ShapeError(f"mse_loss shapes differ: {pred.shape} vs {target.shape}")
     diff = pred.data - target.data
-    out = Tensor._from_op((diff * diff).mean(), (pred, target))
+    out = Tensor._from_op("mse_loss", (diff * diff).mean(), (pred, target))
     n = pred.size
 
     def _bwd(g):
@@ -486,7 +489,7 @@ def cross_entropy_soft(logits: Tensor, soft_targets: np.ndarray | Tensor,
     lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
     logq = z - lse
     n_rows = logits.size // logits.shape[axis]
-    out = Tensor._from_op(-(t * logq).sum() / n_rows, (logits,))
+    out = Tensor._from_op("cross_entropy_soft", -(t * logq).sum() / n_rows, (logits,))
 
     def _bwd(g):
         q = np.exp(logq)

@@ -30,6 +30,8 @@ STD_FLOOR = 1e-6
 REGION_NAMES = ("V1", "V2", "V3", "V4", "higher")
 # fraction of each subject's voxels per named region, in REGION_NAMES order
 _REGION_FRACTIONS = (0.15, 0.15, 0.15, 0.15, 0.40)
+# draws from the "encoder" stream before a rank-deficient encoder is an error
+_ENCODER_DRAWS = 9
 
 
 @dataclass(frozen=True)
@@ -174,28 +176,46 @@ def _smooth_images(n: int, cfg: WorldConfig, rng: np.random.Generator) -> np.nda
     flat = smooth.reshape(n, -1)
     mu = flat.mean(axis=1, keepdims=True)
     sd = flat.std(axis=1, keepdims=True)
-    z = (flat - mu) / np.maximum(sd, STD_FLOOR)
-    imgs = np.clip(0.5 + 0.22 * z, 0.0, 1.0).reshape(smooth.shape)
-    return imgs
+    # in place, the same operations in the same order as
+    # clip(0.5 + 0.22 * ((flat - mu) / max(sd, floor)), 0, 1)
+    flat -= mu
+    flat /= np.maximum(sd, STD_FLOOR)
+    flat *= 0.22
+    flat += 0.5
+    return np.clip(flat, 0.0, 1.0, out=flat).reshape(smooth.shape)
+
+
+def _rank_and_pinv(a: np.ndarray) -> tuple[int, np.ndarray]:
+    """The rank of ``a`` and its pseudo-inverse from one SVD.
+
+    The rank uses ``np.linalg.matrix_rank``'s tolerance and the inverse
+    ``np.linalg.pinv``'s cutoff and operations, so it has pinv's bits."""
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    rank = int(np.count_nonzero(s > s.max() * max(a.shape) * np.finfo(s.dtype).eps))
+    large = s > 1e-15 * s.max()
+    s = np.divide(1, s, where=large, out=s)
+    s[~large] = 0
+    return rank, np.matmul(vt.T, np.multiply(s[:, None], u.T))
 
 
 def generate_world(config: WorldConfig, seed: int,
                    images: np.ndarray | None = None) -> WorldSpec:
     """Build the full synthetic world deterministically from (config, seed).
 
-    A stored dataset passes its own stimulus pool as ``images``."""
+    The encoder is factorized once: one SVD gives both its rank check and
+    its pseudo-inverse, the ``decoder``. A stored dataset passes its own
+    stimulus pool as ``images``."""
     config.validate()
     px = config.pixel_dim
 
     enc_rng = seeds.rng(seed, "encoder")
-    encoder = enc_rng.normal(size=(config.token_dim, px)) / np.sqrt(px)
-    attempts = 0
-    while np.linalg.matrix_rank(encoder) < px:
-        attempts += 1
-        if attempts > 8:
-            raise ConfigError("impossible rank condition: encoder stays rank-deficient")
+    for _ in range(_ENCODER_DRAWS):
         encoder = enc_rng.normal(size=(config.token_dim, px)) / np.sqrt(px)
-    decoder = np.linalg.pinv(encoder)
+        rank, decoder = _rank_and_pinv(encoder)
+        if rank == px:
+            break
+    else:
+        raise ConfigError("impossible rank condition: encoder stays rank-deficient")
 
     teacher = seeds.rng(seed, "teacher").normal(size=(config.d_teacher, px)) / np.sqrt(px)
     vae_map = seeds.rng(seed, "vae").normal(size=(config.vae_dim, px)) / np.sqrt(px)

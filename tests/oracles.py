@@ -1,7 +1,9 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here is written as plain scalar loops over Python floats, with no
-shared code paths into the package under test. Slow on purpose.
+shared code paths into the package under test. Slow on purpose. The two
+exceptions, numpy restatements of an older whole-array form that the
+package must still match bit for bit, say so in their docstrings.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.ndimage import gaussian_filter
 
 
 def pearson_naive(a, b) -> float:
@@ -187,8 +190,8 @@ def adamw_reference_step(p, g, m, v, t, lr, b1, b2, eps, wd):
 def adamw_unblocked_step(params, grads, m, v, t, lr, b1, b2, eps, wd, decay_mask=None):
     """One whole-array AdamW step over named arrays, updating them in place.
 
-    The one oracle here that is not a scalar loop: the update written as
-    one numpy expression per term, each with a temporary as large as the
+    One of the two oracles here that are not scalar loops: the update
+    written as one numpy expression per term, each with a temporary as large as the
     parameter, which the optimizer's blocked update must match bit for bit.
     A name without an entry in ``grads`` still decays if masked in.
     """
@@ -208,3 +211,18 @@ def adamw_unblocked_step(params, grads, m, v, t, lr, b1, b2, eps, wd, decay_mask
         vv *= b2
         vv += (1.0 - b2) * g * g
         p -= lr * (mm / bc1) / (np.sqrt(vv / bc2) + eps)
+
+
+def smooth_images_out_of_place(n, image_hw, channels, smooth_sigma, rng) -> np.ndarray:
+    """The world's stimulus pool written out of place, one temporary per term.
+
+    The other oracle that is not a scalar loop: the world builds the same
+    images in place, and must match this bit for bit.
+    """
+    raw = rng.normal(size=(n, image_hw, image_hw, channels))
+    smooth = gaussian_filter(raw, sigma=(0, smooth_sigma, smooth_sigma, 0))
+    flat = smooth.reshape(n, -1)
+    mu = flat.mean(axis=1, keepdims=True)
+    sd = flat.std(axis=1, keepdims=True)
+    z = (flat - mu) / np.maximum(sd, 1e-6)  # the world's STD_FLOOR
+    return np.clip(0.5 + 0.22 * z, 0.0, 1.0).reshape(smooth.shape)

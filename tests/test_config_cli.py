@@ -555,3 +555,49 @@ def test_malformed_flag_value_names_its_key(tmp_path, capsys, argv, key):
     assert main([*argv, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"config error: key {key!r}: expected int, got 'x'\n"
     assert not (tmp_path / "o").exists()
+
+
+# conftest's tiny world and model, one epoch at a learning rate that leaves
+# float64 weights beyond float32's range after the last step
+OVERFLOW_CFG = """\
+world.n_tokens = 8
+world.d_token = 32
+world.image_hw = 8
+world.vae_hw = 4
+world.n_subjects = 4
+world.voxels_min = 40
+world.voxels_max = 80
+world.n_sessions = 4
+world.trials_per_session = 20
+world.n_shared = 16
+model.h = 64
+model.t_steps = 8
+model.d_cond = 64
+model.denoiser_hidden = 128
+model.retr_hidden = 64
+model.d_retr = 16
+model.ll_hidden = 64
+model.ll_trunk = 64
+model.teacher_hidden = 32
+model.m_tokens = 6
+model.d_token_b = 16
+train.epochs = 1
+train.lr = 1e300
+train.held_out_subject = s3
+eval.pool_size = 10
+"""
+
+
+def test_checkpoint_not_finite_as_float32_exits_4_and_is_not_written(tmp_path, capsys):
+    # a checkpoint its own reader would reject is never written
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(OVERFLOW_CFG)
+    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+    out = tmp_path / "s"
+    assert main(["scratch", "--config", str(cfg), "--data", str(tmp_path / "data"),
+                 "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"numeric error: {out / 'checkpoint.me2c'}: array '")
+    assert err.endswith("' holds a non-finite value\n")
+    assert err.count("\n") == 1
+    assert not (out / "checkpoint.me2c").exists()

@@ -3,6 +3,7 @@ datasets, whose only allowed outcomes are a loaded value or a DataError."""
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib import format as npy
 
-from mindalign.errors import ConfigError, DataError
+from mindalign.errors import ConfigError, DataError, NonFiniteError
 from mindalign.flatkv import format_flat, parse_flat
 from mindalign.model import ModelConfig, init_model, load_checkpoint, save_checkpoint
 from mindalign.store import MAGIC, check_layout, read_arrays, write_arrays
@@ -102,6 +103,40 @@ class TestArrayFile:
         for name, arr in arrays.items():
             assert back[name].dtype == arr.dtype
             np.testing.assert_array_equal(back[name], arr)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_writer_refuses_a_non_finite_float(self, tmp_path, bad):
+        arrays = {"ok": np.ones(2, dtype="<f4"), "x": np.array([1, bad, 2], dtype="<f4")}
+        with pytest.raises(NonFiniteError, match=r"array 'x' holds a non-finite value"):
+            write_arrays(tmp_path / "f.bin", {}, arrays)
+        assert not (tmp_path / "f.bin").exists()
+
+    @pytest.mark.parametrize("name, arr", [("x", np.ones(2)), ("", np.ones(2, dtype="<f4")),
+                                           ("a,b", np.ones(2, dtype="<f4"))])
+    def test_writer_refuses_what_the_reader_rejects(self, tmp_path, name, arr):
+        with pytest.raises(ValueError, match="cannot store array"):
+            write_arrays(tmp_path / "f.bin", {}, {name: arr})
+        assert not (tmp_path / "f.bin").exists()
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 1e300, -1e39])
+    def test_checkpoint_refuses_a_parameter_not_finite_as_float32(self, tmp_path, value):
+        # float64 values beyond float32's range overflow in the cast; that is
+        # refused without numpy's overflow warning, and nothing is written
+        mp = init_model(NANO_WORLD, NANO_MODEL, {"s0": 4}, seed=1)
+        mp.params["prior.out.b"].data[0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match=r"array 'prior.out.b' holds a "
+                                                     r"non-finite value"):
+                save_checkpoint(mp, tmp_path / "c.me2c")
+        assert not (tmp_path / "c.me2c").exists()
+
+    def test_checkpoint_keeps_float32_max(self, tmp_path):
+        mp = init_model(NANO_WORLD, NANO_MODEL, {"s0": 4}, seed=1)
+        top = float(np.finfo(np.float32).max)
+        mp.params["prior.out.b"].data[0] = top
+        save_checkpoint(mp, tmp_path / "c.me2c")
+        assert load_checkpoint(tmp_path / "c.me2c").params["prior.out.b"].data[0] == top
 
     def _file(self, tmp_path, record: bytes) -> bytes:
         """A valid one-array file whose array record is replaced by ``record``."""

@@ -67,6 +67,23 @@ class TestForward:
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
             scale(Tensor(np.array([1e308])), 10.0)
 
+    def test_non_finite_names_its_op(self):
+        with pytest.raises(NonFiniteError, match=r"^non-finite value in tensor data$"):
+            Tensor(np.array([1.0, np.inf]))
+        big = Tensor(np.full((2, 2), 1e200))
+        with np.errstate(over="ignore"), pytest.raises(
+                NonFiniteError, match=r"^non-finite value in matmul output$"):
+            matmul(big, big)
+        with np.errstate(over="ignore"), pytest.raises(
+                NonFiniteError, match=r"^non-finite value in mse_loss output$"):
+            mse_loss(big, Tensor(np.zeros((2, 2))))
+        # gelu(x) <= x for finite x, so only an input that already overflowed,
+        # bypassing the constructor's check, can make its output non-finite
+        overflowed = Tensor(np.ones(3))
+        overflowed.data[1] = np.inf
+        with pytest.raises(NonFiniteError, match=r"^non-finite value in gelu output$"):
+            gelu(overflowed)
+
 
 class TestBackward:
     def test_square(self):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mindalign import seeds, world as world_mod
 from mindalign.errors import ConfigError, DataError
 from mindalign.world import (
     REGION_NAMES,
@@ -26,6 +27,7 @@ from mindalign.world import (
     secondary_token_encoder,
     simulate_response,
 )
+from oracles import smooth_images_out_of_place
 
 SMALL = WorldConfig(image_hw=8, channels=3, n_tokens=8, d_token=32, vae_hw=4,
                     n_subjects=3, voxels_min=40, voxels_max=80, n_sessions=4,
@@ -63,6 +65,46 @@ class TestGenerateWorld:
 
     def test_encoder_rank_exact(self, world):
         assert np.linalg.matrix_rank(world.encoder) == world.config.pixel_dim
+
+    @pytest.mark.parametrize("which", ["tiny_world", "default_world"])
+    def test_pseudo_inverses_are_numpys_bit_for_bit(self, request, which):
+        # the decoder comes from the SVD the rank check already ran
+        w = request.getfixturevalue(which)
+        assert w.decoder.tobytes() == np.linalg.pinv(w.encoder).tobytes()
+        assert w.vae_pinv.tobytes() == np.linalg.pinv(w.vae_map).tobytes()
+
+    @pytest.mark.parametrize("cfg", [SMALL, WorldConfig(smooth_sigma=0.0)])
+    def test_images_equal_the_out_of_place_oracle(self, cfg):
+        got = world_mod._smooth_images(37, cfg, seeds.rng(5, "images"))
+        want = smooth_images_out_of_place(37, cfg.image_hw, cfg.channels,
+                                          cfg.smooth_sigma, seeds.rng(5, "images"))
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("deficient", range(10))
+    def test_rank_deficient_draws_are_redrawn(self, monkeypatch, deficient):
+        # the first `deficient` encoder draws read as rank-deficient; the world
+        # takes the next draw of the same stream, and the ninth failure is fatal
+        px, calls = SMALL.pixel_dim, []
+        real = world_mod._rank_and_pinv
+
+        def rank_and_pinv(a):
+            calls.append(a.copy())
+            rank, pinv = real(a)
+            return (px - 1 if len(calls) <= deficient else rank), pinv
+
+        monkeypatch.setattr(world_mod, "_rank_and_pinv", rank_and_pinv)
+        stream = seeds.rng(7, "encoder")
+        draws = [stream.normal(size=(SMALL.token_dim, px)) / np.sqrt(px)
+                 for _ in range(min(deficient + 1, 9))]
+        if deficient >= 9:
+            with pytest.raises(ConfigError, match="encoder stays rank-deficient"):
+                generate_world(SMALL, seed=7)
+        else:
+            w = generate_world(SMALL, seed=7)
+            assert w.encoder.tobytes() == draws[-1].tobytes()
+            assert w.decoder.tobytes() == np.linalg.pinv(draws[-1]).tobytes()
+        assert [c.tobytes() for c in calls] == [d.tobytes() for d in draws]
 
     def test_rank_condition_rejected(self):
         with pytest.raises(ConfigError):
