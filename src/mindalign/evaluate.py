@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import seeds
 from .errors import ConfigError, DataError
@@ -98,46 +99,73 @@ def _gaussian_window(size: int, sigma: float) -> np.ndarray:
     return w / w.sum()
 
 
+def _window_sums(views: np.ndarray, w_col: np.ndarray) -> np.ndarray:
+    """Gaussian-weighted sum of every window in an [N, C, oh, ow, k, k] stack.
+
+    One BLAS call per image and channel, on the operands ``np.tensordot``
+    builds for one image: the [oh*ow, k*k] windows times the window as a
+    [k*k, 1] column. A call over the whole stack would group the rows
+    differently in BLAS and give other bits.
+    """
+    n, ch, oh, ow = views.shape[:4]
+    out = np.empty((n, ch, oh, ow))
+    for i in range(n):
+        for c in range(ch):
+            out[i, c] = np.dot(views[i, c].reshape(oh * ow, -1), w_col).reshape(oh, ow)
+    return out
+
+
 def ssim(recon: np.ndarray, truth: np.ndarray, window: int = 8,
-         sigma: float = 1.5, c1: float = 0.01 ** 2, c2: float = 0.03 ** 2) -> float:
-    """Structural similarity with a gaussian window, averaged over all valid
-    window positions and channels. Inputs are [H, W, C] in [0, 1]."""
+         sigma: float = 1.5, c1: float = 0.01 ** 2,
+         c2: float = 0.03 ** 2) -> float | np.ndarray:
+    """Structural similarity (Wang et al., 2004) with a gaussian window,
+    averaged over all valid window positions and channels.
+
+    Inputs are one [H, W, C] image in [0, 1], which gives a float, or an
+    [N, H, W, C] stack, which gives one score per image.
+    """
     a = np.asarray(recon, dtype=np.float64)
     b = np.asarray(truth, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 3:
-        raise DataError("ssim expects two equal-shape [H, W, C] images")
-    if a.shape[0] < window or a.shape[1] < window:
+    if a.shape != b.shape or a.ndim not in (3, 4):
+        raise DataError("ssim expects two equal-shape [H, W, C] images "
+                        "or [N, H, W, C] stacks")
+    single = a.ndim == 3
+    if single:
+        a, b = a[None], b[None]
+    if a.shape[1] < window or a.shape[2] < window:
         raise DataError(f"image smaller than the {window}x{window} ssim window")
-    w = _gaussian_window(window, sigma)
-    from numpy.lib.stride_tricks import sliding_window_view
-
-    total = 0.0
-    count = 0
-    for c in range(a.shape[2]):
-        wa = sliding_window_view(a[:, :, c], (window, window))
-        wb = sliding_window_view(b[:, :, c], (window, window))
-        mu_x = np.tensordot(wa, w, axes=([2, 3], [0, 1]))
-        mu_y = np.tensordot(wb, w, axes=([2, 3], [0, 1]))
-        dx = wa - mu_x[..., None, None]
-        dy = wb - mu_y[..., None, None]
-        var_x = np.tensordot(dx * dx, w, axes=([2, 3], [0, 1]))
-        var_y = np.tensordot(dy * dy, w, axes=([2, 3], [0, 1]))
-        cov = np.tensordot(dx * dy, w, axes=([2, 3], [0, 1]))
-        s = ((2 * mu_x * mu_y + c1) * (2 * cov + c2)) / (
-            (mu_x ** 2 + mu_y ** 2 + c1) * (var_x + var_y + c2))
-        total += s.sum()
-        count += s.size
-    return float(total / count)
+    w_col = _gaussian_window(window, sigma).reshape(-1, 1)
+    # [N, C, oh, ow, k, k]: each image and channel's windows, strided as one
+    # image's sliding_window_view
+    va = sliding_window_view(a, (window, window), axis=(1, 2)).transpose(0, 3, 1, 2, 4, 5)
+    vb = sliding_window_view(b, (window, window), axis=(1, 2)).transpose(0, 3, 1, 2, 4, 5)
+    mu_x = _window_sums(va, w_col)
+    mu_y = _window_sums(vb, w_col)
+    # in C order each image and channel's products are one contiguous
+    # [oh*ow, k*k] block, as one image's were
+    dx = np.subtract(va, mu_x[..., None, None], order="C")
+    dy = np.subtract(vb, mu_y[..., None, None], order="C")
+    var_x = _window_sums(dx * dx, w_col)
+    var_y = _window_sums(dy * dy, w_col)
+    cov = _window_sums(dx * dy, w_col)
+    s = ((2 * mu_x * mu_y + c1) * (2 * cov + c2)) / (
+        (mu_x ** 2 + mu_y ** 2 + c1) * (var_x + var_y + c2))
+    # per image, each channel's map is summed and the channel sums added in order
+    scores = np.array([sum(s_c.sum() for s_c in s_i) / s_i.size for s_i in s])
+    return float(scores[0]) if single else scores
 
 
 def box_blur(image: np.ndarray, k: int = 4) -> np.ndarray:
-    """Valid-mode k x k box average per channel."""
+    """Valid-mode k x k box average per channel of one [H, W, C] image or an
+    [N, H, W, C] stack."""
     a = np.asarray(image, dtype=np.float64)
-    from numpy.lib.stride_tricks import sliding_window_view
-
-    out = np.empty((a.shape[0] - k + 1, a.shape[1] - k + 1, a.shape[2]))
-    for c in range(a.shape[2]):
-        out[:, :, c] = sliding_window_view(a[:, :, c], (k, k)).mean(axis=(2, 3))
+    if a.ndim not in (3, 4) or a.shape[-3] < k or a.shape[-2] < k:
+        raise DataError(f"box_blur expects [H, W, C] images of at least {k}x{k}")
+    *lead, h, w, ch = a.shape
+    out = np.empty((*lead, h - k + 1, w - k + 1, ch))
+    for c in range(ch):
+        windows = sliding_window_view(a[..., c], (k, k), axis=(-2, -1))
+        out[..., c] = windows.mean(axis=(-2, -1))
     return out
 
 
@@ -153,6 +181,8 @@ def retrieval_eval(retr_embeddings: np.ndarray, target_embeddings: np.ndarray,
     pool_size - 1 other randomly drawn candidates; scores are averaged over
     items then repetitions. Chance is 1/pool_size.
     """
+    if pool_size < 2 or repetitions < 1:
+        raise DataError("retrieval needs pool_size >= 2 and repetitions >= 1")
     emb = np.asarray(retr_embeddings, dtype=np.float64)
     temb = np.asarray(target_embeddings, dtype=np.float64)
     n = emb.shape[0]
@@ -163,29 +193,32 @@ def retrieval_eval(retr_embeddings: np.ndarray, target_embeddings: np.ndarray,
     emb = emb / np.maximum(np.linalg.norm(emb, axis=1, keepdims=True), 1e-12)
     temb = temb / np.maximum(np.linalg.norm(temb, axis=1, keepdims=True), 1e-12)
     sims = emb @ temb.T  # rows: brain, cols: image
-    rng = seeds.rng(seed, "retrieval-pools")
-    image_acc = np.zeros(repetitions)
-    brain_acc = np.zeros(repetitions)
-    for rep in range(repetitions):
-        img_hits = 0
-        brain_hits = 0
-        for i in range(n):
-            if pool_size == n:
-                others = np.delete(np.arange(n), i)
-            else:
-                pool = rng.choice(n - 1, size=pool_size - 1, replace=False)
-                others = np.where(pool >= i, pool + 1, pool)
-            img_hits += sims[i, i] > sims[i, others].max()
-            brain_hits += sims[i, i] > sims[others, i].max()
-        image_acc[rep] = img_hits / n
-        brain_acc[rep] = brain_hits / n
-    return {"image_retrieval": float(image_acc.mean()),
-            "brain_retrieval": float(brain_acc.mean())}
+    rows = np.arange(n)[:, None]
+    own = np.diag(sims)[:, None]
+
+    def hits(pools: np.ndarray) -> tuple[int, int]:
+        # pools index the n - 1 items other than each row's own
+        others = pools + (pools >= rows)
+        return (np.count_nonzero(own > sims[rows, others].max(axis=1, keepdims=True)),
+                np.count_nonzero(own > sims[others, rows].max(axis=1, keepdims=True)))
+
+    if pool_size == n:
+        # every item competes against all others: no draw, and every
+        # repetition scores the same
+        counts = [hits(np.arange(n - 1))] * repetitions
+    else:
+        rng = seeds.rng(seed, "retrieval-pools")
+        counts = [hits(np.stack([rng.choice(n - 1, size=pool_size - 1, replace=False)
+                                 for _ in range(n)]))
+                  for _ in range(repetitions)]
+    image_hits, brain_hits = zip(*counts)
+    return {"image_retrieval": float((np.array(image_hits) / n).mean()),
+            "brain_retrieval": float((np.array(brain_hits) / n).mean())}
 
 
 def _feature_matrix(images: np.ndarray, feature_map: str, world: WorldSpec) -> np.ndarray:
     if feature_map == "lowlevel":
-        return np.stack([box_blur(img).reshape(-1) for img in images])
+        return box_blur(images).reshape(images.shape[0], -1)
     if feature_map == "highlevel":
         return token_targets(world, images)
     raise ConfigError(f"unknown feature map {feature_map!r}")
@@ -378,7 +411,7 @@ def _image_metrics(images: np.ndarray, truths: np.ndarray,
     """Mean pixcorr and ssim, and both two-way identifications, of images vs truths."""
     n = truths.shape[0]
     return {"pixcorr": float(np.mean([pixcorr(images[i], truths[i]) for i in range(n)])),
-            "ssim": float(np.mean([ssim(images[i], truths[i]) for i in range(n)])),
+            "ssim": float(np.mean(ssim(images, truths))),
             "twoway_low": two_way_identification(images, truths, "lowlevel", world),
             "twoway_high": two_way_identification(images, truths, "highlevel", world)}
 

@@ -393,9 +393,14 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
     x, gain, bias = Tensor.lift(x), Tensor.lift(gain), Tensor.lift(bias)
     if gain.shape != (x.shape[-1],) or bias.shape != (x.shape[-1],):
         raise ShapeError("layernorm gain/bias must match last axis")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    # an overflowing variance would make inv 0 and the output the (finite)
+    # bias, so it is refused here instead of at some later op
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = x.data.mean(axis=-1, keepdims=True)
+        xc = x.data - mu
+        var = (xc * xc).mean(axis=-1, keepdims=True)
+    if not np.isfinite(var).all():
+        raise NonFiniteError("non-finite value in layernorm variance")
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = Tensor._from_op("layernorm", gain.data * xhat + bias.data, (x, gain, bias))

@@ -1,9 +1,9 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here is written as plain scalar loops over Python floats, with no
-shared code paths into the package under test. Slow on purpose. The two
-exceptions, numpy restatements of an older whole-array form that the
-package must still match bit for bit, say so in their docstrings.
+shared code paths into the package under test. Slow on purpose. The
+exceptions, numpy restatements of an older form that the package must
+still match bit for bit, say so in their docstrings.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import gaussian_filter
 
 
@@ -226,3 +227,81 @@ def smooth_images_out_of_place(n, image_hw, channels, smooth_sigma, rng) -> np.n
     sd = flat.std(axis=1, keepdims=True)
     z = (flat - mu) / np.maximum(sd, 1e-6)  # the world's STD_FLOOR
     return np.clip(0.5 + 0.22 * z, 0.0, 1.0).reshape(smooth.shape)
+
+
+def ssim_per_image(img_a, img_b, window: int = 8, sigma: float = 1.5,
+                   c1: float = 0.01 ** 2, c2: float = 0.03 ** 2) -> float:
+    """SSIM of one [H, W, C] pair, one ``np.tensordot`` per window sum.
+
+    Not a scalar loop: the per-image, per-channel form that the stacked
+    ``ssim`` must match bit for bit.
+    """
+    a = np.asarray(img_a, dtype=np.float64)
+    b = np.asarray(img_b, dtype=np.float64)
+    c = (window - 1) / 2.0
+    ii, jj = np.meshgrid(np.arange(window), np.arange(window), indexing="ij")
+    w = np.exp(-((ii - c) ** 2 + (jj - c) ** 2) / (2.0 * sigma * sigma))
+    w = w / w.sum()
+    total = 0.0
+    count = 0
+    for ch in range(a.shape[2]):
+        wa = sliding_window_view(a[:, :, ch], (window, window))
+        wb = sliding_window_view(b[:, :, ch], (window, window))
+        mu_x = np.tensordot(wa, w, axes=([2, 3], [0, 1]))
+        mu_y = np.tensordot(wb, w, axes=([2, 3], [0, 1]))
+        dx = wa - mu_x[..., None, None]
+        dy = wb - mu_y[..., None, None]
+        var_x = np.tensordot(dx * dx, w, axes=([2, 3], [0, 1]))
+        var_y = np.tensordot(dy * dy, w, axes=([2, 3], [0, 1]))
+        cov = np.tensordot(dx * dy, w, axes=([2, 3], [0, 1]))
+        s = ((2 * mu_x * mu_y + c1) * (2 * cov + c2)) / (
+            (mu_x ** 2 + mu_y ** 2 + c1) * (var_x + var_y + c2))
+        total += s.sum()
+        count += s.size
+    return float(total / count)
+
+
+def box_blur_per_image(img, k: int = 4) -> np.ndarray:
+    """Valid-mode k x k box average of one [H, W, C] image, one window view
+    per channel.
+
+    Not a scalar loop: the per-image form that the stacked ``box_blur`` must
+    match bit for bit.
+    """
+    a = np.asarray(img, dtype=np.float64)
+    out = np.empty((a.shape[0] - k + 1, a.shape[1] - k + 1, a.shape[2]))
+    for c in range(a.shape[2]):
+        out[:, :, c] = sliding_window_view(a[:, :, c], (k, k)).mean(axis=(2, 3))
+    return out
+
+
+def retrieval_per_item(emb, temb, pool_size: int, repetitions: int, rng) -> dict[str, float]:
+    """Top-1 retrieval scored one item at a time, drawing each subsampled
+    pool from ``rng`` in item order.
+
+    Not a scalar loop: the per-item form that the one-pass ``retrieval_eval``
+    must match bit for bit, given the generator it seeds.
+    """
+    emb = np.asarray(emb, dtype=np.float64)
+    temb = np.asarray(temb, dtype=np.float64)
+    n = emb.shape[0]
+    emb = emb / np.maximum(np.linalg.norm(emb, axis=1, keepdims=True), 1e-12)
+    temb = temb / np.maximum(np.linalg.norm(temb, axis=1, keepdims=True), 1e-12)
+    sims = emb @ temb.T
+    image_acc = np.zeros(repetitions)
+    brain_acc = np.zeros(repetitions)
+    for rep in range(repetitions):
+        img_hits = 0
+        brain_hits = 0
+        for i in range(n):
+            if pool_size == n:
+                others = np.delete(np.arange(n), i)
+            else:
+                pool = rng.choice(n - 1, size=pool_size - 1, replace=False)
+                others = np.where(pool >= i, pool + 1, pool)
+            img_hits += sims[i, i] > sims[i, others].max()
+            brain_hits += sims[i, i] > sims[others, i].max()
+        image_acc[rep] = img_hits / n
+        brain_acc[rep] = brain_hits / n
+    return {"image_retrieval": float(image_acc.mean()),
+            "brain_retrieval": float(brain_acc.mean())}

@@ -601,3 +601,19 @@ def test_checkpoint_not_finite_as_float32_exits_4_and_is_not_written(tmp_path, c
     assert err.endswith("' holds a non-finite value\n")
     assert err.count("\n") == 1
     assert not (out / "checkpoint.me2c").exists()
+
+
+def test_layernorm_variance_overflow_exits_4_in_one_line(tmp_path, capsys):
+    # at this learning rate the first steps leave weights whose activations'
+    # squared deviations overflow inside a layernorm: one line names the op
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(SMALL_CFG.replace("train.epochs = 2", "train.epochs = 1")
+                   + "train.lr = 1e300\n")
+    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "s"
+    assert main(["scratch", "--config", str(cfg), "--data", str(tmp_path / "data"),
+                 "--out", str(out)]) == 4
+    assert capsys.readouterr().err == \
+        "numeric error: non-finite value in layernorm variance\n"
+    assert not (out / "checkpoint.me2c").exists()

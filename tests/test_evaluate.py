@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from mindalign import seeds
 from mindalign.errors import ConfigError, DataError
 from mindalign.evaluate import (
     CORE_METRICS,
@@ -24,7 +27,14 @@ from mindalign.evaluate import (
 from mindalign.model import init_model
 from mindalign.world import WorldConfig, generate_dataset, generate_world, normalize
 
-from oracles import box_blur_naive, pearson_naive, ssim_naive
+from oracles import (
+    box_blur_naive,
+    box_blur_per_image,
+    pearson_naive,
+    retrieval_per_item,
+    ssim_naive,
+    ssim_per_image,
+)
 
 
 class TestPixCorr:
@@ -62,6 +72,94 @@ class TestSSIM:
     def test_box_blur_matches_oracle(self):
         img = np.random.default_rng(2).random((10, 10, 3))
         np.testing.assert_allclose(box_blur(img), box_blur_naive(img), atol=1e-12)
+
+
+class TestStackedImageMetrics:
+    """A stack is scored with the bits of scoring its images one at a time."""
+
+    @staticmethod
+    def _pair(seed, n, h, w, c):
+        r = np.random.default_rng(seed)
+        return r.random((n, h, w, c)), r.random((n, h, w, c))
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6), h=st.integers(8, 20),
+           w=st.integers(8, 20), c=st.integers(1, 4))
+    @example(seed=0, n=6, h=8, w=8, c=3)
+    @example(seed=1, n=1, h=8, w=8, c=1)
+    def test_stack_equals_per_image_bit_for_bit(self, seed, n, h, w, c):
+        a, b = self._pair(seed, n, h, w, c)
+        scores = ssim(a, b)
+        expected = np.array([ssim_per_image(a[i], b[i]) for i in range(n)])
+        assert scores.shape == (n,)
+        assert scores.tobytes() == expected.tobytes()
+        blurred = box_blur(a)
+        assert blurred.tobytes() == np.stack([box_blur_per_image(img) for img in a]).tobytes()
+
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 2 ** 32 - 1), h=st.integers(8, 20), w=st.integers(8, 20),
+           c=st.integers(1, 4))
+    @example(seed=2, h=8, w=8, c=3)
+    def test_single_image_keeps_type_and_bits(self, seed, h, w, c):
+        a, b = self._pair(seed, 1, h, w, c)
+        score = ssim(a[0], b[0])
+        assert type(score) is float
+        assert score == ssim_per_image(a[0], b[0])
+        assert box_blur(a[0]).tobytes() == box_blur_per_image(a[0]).tobytes()
+
+    @pytest.mark.parametrize("shapes", [
+        ((2, 8, 8, 3), (3, 8, 8, 3)),   # stacks of different length
+        ((2, 8, 8, 3), (8, 8, 3)),      # a stack against one image
+        ((8, 8), (8, 8)),
+        ((1, 2, 8, 8, 3), (1, 2, 8, 8, 3)),
+        ((3, 7, 9, 3), (3, 7, 9, 3)),   # smaller than the window
+        ((9, 7, 3), (9, 7, 3)),
+    ])
+    def test_ssim_shape_errors(self, shapes):
+        with pytest.raises(DataError):
+            ssim(np.zeros(shapes[0]), np.zeros(shapes[1]))
+
+    @pytest.mark.parametrize("shape", [(8, 8), (1, 2, 8, 8, 3), (3, 8, 3, 3), (3, 8, 3)])
+    def test_box_blur_shape_errors(self, shape):
+        with pytest.raises(DataError):
+            box_blur(np.zeros(shape))
+
+
+class TestRetrievalOnePass:
+    """Each repetition scored in one pass equals the per-item loop."""
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 40), d=st.integers(1, 8),
+           reps=st.integers(1, 5), ties=st.booleans())
+    def test_full_pool_equals_per_item_loop(self, seed, n, d, reps, ties):
+        emb, temb = self._embeddings(seed, n, d, ties)
+        got = retrieval_eval(emb, temb, pool_size=n, repetitions=reps, seed=seed)
+        assert got == retrieval_per_item(emb, temb, n, reps, rng=None)
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 40), d=st.integers(1, 8),
+           reps=st.integers(1, 5), ties=st.booleans(), data=st.data())
+    def test_subsampled_pools_equal_per_item_loop(self, seed, n, d, reps, ties, data):
+        pool = data.draw(st.integers(2, n - 1))
+        emb, temb = self._embeddings(seed, n, d, ties)
+        got = retrieval_eval(emb, temb, pool_size=pool, repetitions=reps, seed=seed)
+        assert got == retrieval_per_item(emb, temb, pool, reps,
+                                         rng=seeds.rng(seed, "retrieval-pools"))
+
+    @staticmethod
+    def _embeddings(seed, n, d, ties):
+        r = np.random.default_rng(seed)
+        emb = r.normal(size=(n, d))
+        temb = emb + 2.0 * r.normal(size=(n, d))
+        # rounding makes equal similarities, where a tie must count as a miss
+        return (np.round(emb), np.round(temb)) if ties else (emb, temb)
+
+    @pytest.mark.parametrize("n, pool_size, repetitions", [
+        (10, 10, 0), (10, 1, 1), (10, 0, 1), (0, 0, 1), (0, 2, 1)])
+    def test_unscorable_arguments_rejected(self, n, pool_size, repetitions):
+        emb = np.random.default_rng(0).normal(size=(n, 4))
+        with pytest.raises(DataError):
+            retrieval_eval(emb, emb, pool_size=pool_size, repetitions=repetitions)
 
 
 class TestRetrieval:

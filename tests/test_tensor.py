@@ -84,6 +84,15 @@ class TestForward:
         with pytest.raises(NonFiniteError, match=r"^non-finite value in gelu output$"):
             gelu(overflowed)
 
+    def test_layernorm_refuses_an_overflowing_variance(self):
+        # the squared deviations overflow: numpy must not warn (the suite
+        # turns RuntimeWarnings into errors), and the output must not come
+        # out finite as the bias alone
+        x = Tensor(np.array([[1e200, -1e200, 1e200, -1e200], [1.0, 2.0, 3.0, 4.0]]))
+        with pytest.raises(NonFiniteError,
+                           match=r"^non-finite value in layernorm variance$"):
+            layernorm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)))
+
 
 class TestBackward:
     def test_square(self):
