@@ -53,11 +53,10 @@ from .world import (
     WorldConfig,
     WorldSpec,
     decode_tokens,
-    encode_image,
     generate_dataset,
     generate_world,
     normalize,
-    simulate_response,
+    token_targets,
 )
 
 __version__ = "0.1.0"

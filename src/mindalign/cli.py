@@ -13,6 +13,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import RunConfig, echo_config, load_config
 from .errors import ConfigError, DataError
 from .tensor import GraphError, NonFiniteError, ShapeError
@@ -38,27 +40,11 @@ _FLAG_KEYS = {
     "--variants": "ablate.variants",
 }
 
-# subcommand -> help, and the flags it takes beyond --config, --out and --seed
-_COMMANDS = {
-    "gen-world": ("write a world manifest", ()),
-    "gen-data": ("simulate and save all subject datasets", ()),
-    "pretrain": ("multi-subject pretraining", ("--data",)),
-    "finetune": ("fine-tune on a held-out subject",
-                 ("--data", "--checkpoint", "--subject", "--sessions")),
-    "scratch": ("single-subject training from scratch",
-                ("--data", "--subject", "--sessions")),
-    "eval": ("evaluate a checkpoint", ("--data", "--checkpoint", "--subject")),
-    "scaling": ("data-scaling experiment", ("--data", "--subject", "--sessions", "--arms")),
-    "ablate": ("component ablation sweep",
-               ("--data", "--subject", "--sessions", "--variants")),
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mindalign",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, flags) in _COMMANDS.items():
+    for command, (help_text, _, flags) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", type=Path, default=None,
                        help="flat dotted-key config file (defaults if omitted)")
@@ -228,15 +214,21 @@ def cmd_ablate(rc: RunConfig) -> int:
     return EXIT_OK
 
 
-_DISPATCH = {
-    "gen-world": cmd_gen_world,
-    "gen-data": cmd_gen_data,
-    "pretrain": cmd_train,
-    "finetune": cmd_train,
-    "scratch": cmd_train,
-    "eval": cmd_eval,
-    "scaling": cmd_scaling,
-    "ablate": cmd_ablate,
+# subcommand -> help, handler, and the flags it takes beyond --config, --out
+# and --seed
+_COMMANDS = {
+    "gen-world": ("write a world manifest", cmd_gen_world, ()),
+    "gen-data": ("simulate and save all subject datasets", cmd_gen_data, ()),
+    "pretrain": ("multi-subject pretraining", cmd_train, ("--data",)),
+    "finetune": ("fine-tune on a held-out subject", cmd_train,
+                 ("--data", "--checkpoint", "--subject", "--sessions")),
+    "scratch": ("single-subject training from scratch", cmd_train,
+                ("--data", "--subject", "--sessions")),
+    "eval": ("evaluate a checkpoint", cmd_eval, ("--data", "--checkpoint", "--subject")),
+    "scaling": ("data-scaling experiment", cmd_scaling,
+                ("--data", "--subject", "--sessions", "--arms")),
+    "ablate": ("component ablation sweep", cmd_ablate,
+               ("--data", "--subject", "--sessions", "--variants")),
 }
 
 
@@ -245,7 +237,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         rc = _resolve(args)
-        return _DISPATCH[args.command](rc)
+        # a numpy overflow, divide-by-zero or invalid value is a numeric
+        # error, not a warning beside a result
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _COMMANDS[args.command][1](rc)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

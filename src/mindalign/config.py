@@ -16,25 +16,19 @@ from . import seeds
 from .errors import ConfigError
 from .evaluate import EvalConfig
 from .flatkv import format_flat, parse_flat, parse_value
-from .losses import LossWeights
 from .model import ModelConfig
-from .train import TrainConfig
+from .train import DEFAULT_ABLATION_VARIANTS, TrainConfig
 from .world import WorldConfig
 
 COMMANDS = ("gen-world", "gen-data", "pretrain", "finetune", "scratch", "eval",
             "scaling", "ablate")
 
 # train/eval seeds are derived from the master seed, never set directly
-_EXCLUDED_FIELDS = {("train", "seed"), ("train", "weights"), ("train", "mixco_beta"),
-                    ("eval", "seed")}
+_EXCLUDED_FIELDS = {("train", "seed"), ("eval", "seed")}
 
 _SPECIAL_KEYS = {
     "seed": "int",
     "command": "str",
-    "train.alpha1": "float",
-    "train.alpha2": "float",
-    "train.mixco_beta_a": "float",
-    "train.mixco_beta_b": "float",
     "paths.out": "str",
     "paths.data": "str",
     "paths.checkpoint": "str",
@@ -107,12 +101,7 @@ def _materialize(raw: dict[str, str]) -> RunConfig:
     try:
         world = WorldConfig(**block_kwargs("world", WorldConfig))
         model = ModelConfig(**block_kwargs("model", ModelConfig))
-        weights = LossWeights(alpha1=float(values.get("train.alpha1", 0.033)),
-                              alpha2=float(values.get("train.alpha2", 0.016)))
-        beta = (float(values.get("train.mixco_beta_a", 0.15)),
-                float(values.get("train.mixco_beta_b", 0.15)))
-        train = TrainConfig(weights=weights, mixco_beta=beta,
-                            seed=seeds.derive(master, "train"),
+        train = TrainConfig(seed=seeds.derive(master, "train"),
                             **block_kwargs("train", TrainConfig))
         ev = EvalConfig(seed=seeds.derive(master, "eval"),
                         **block_kwargs("eval", EvalConfig))
@@ -137,7 +126,7 @@ def _materialize(raw: dict[str, str]) -> RunConfig:
     arms = tuple(t for t in str(values.get("scaling.arms", "pretrained,scratch")
                                 ).split(",") if t)
     variants = tuple(t for t in str(values.get(
-        "ablate.variants", "Prior,Prior+Low,Prior+Ret,Ret,Ret+Low,All")).split(",") if t)
+        "ablate.variants", ",".join(DEFAULT_ABLATION_VARIANTS))).split(",") if t)
     return RunConfig(command=command, world=world, model=model, train=train,
                      eval=ev, seed=master, paths=paths,
                      scaling_sessions=sessions, scaling_arms=arms,
@@ -155,10 +144,6 @@ def echo_config(rc: RunConfig) -> str:
             if (block, f.name) in _EXCLUDED_FIELDS:
                 continue
             items[f"{block}.{f.name}"] = getattr(cfg, f.name)
-    items["train.alpha1"] = rc.train.weights.alpha1
-    items["train.alpha2"] = rc.train.weights.alpha2
-    items["train.mixco_beta_a"] = rc.train.mixco_beta[0]
-    items["train.mixco_beta_b"] = rc.train.mixco_beta[1]
     for name, value in rc.paths.items():
         # the output directory is wherever the echo lives, never baked in:
         # reruns into fresh directories must reproduce bit-identical trees

@@ -32,6 +32,8 @@ from .world import (
     SubjectDataset,
     WorldSpec,
     _smooth_images,
+    decode_tokens,
+    decode_vae,
     token_targets,
 )
 
@@ -58,7 +60,6 @@ class EvalConfig:
 class EvalReport:
     metrics: dict[str, float]
     protocol: dict[str, object]
-    config_echo: dict[str, object] = field(default_factory=dict)
     # the final reconstructions the image metrics were scored on, if any
     recons: np.ndarray | None = field(default=None, compare=False, repr=False)
 
@@ -68,7 +69,6 @@ class EvalReport:
             items[f"metric.{k}"] = f"{v:.6g}"
         for k, v in self.protocol.items():
             items[f"protocol.{k}"] = v
-        items.update(self.config_echo)
         return format_flat(items)
 
     def save(self, path: Path) -> None:
@@ -383,16 +383,12 @@ def reconstruct(mp: ModelParams, world: WorldSpec, voxels: np.ndarray,
     Returns unrefined (decoded prior samples), lowlevel (decoded low-level
     latents), and final (clipped blend), each [B, H, W, C].
     """
-    cfg = world.config
     vox = np.atleast_2d(np.asarray(voxels, dtype=np.float64))
     cond = backbone_forward(mp, ridge_forward(mp, subject_id, vox))
     tok = prior_sample(mp, cond, seed=seed)
-    n = vox.shape[0]
-    unrefined = (tok.reshape(n, -1) @ world.decoder.T).reshape(
-        n, cfg.image_hw, cfg.image_hw, cfg.channels)
+    unrefined = decode_tokens(world, tok)
     vae_pred, _ = lowlevel_forward(mp, cond)
-    lowlevel_px = (vae_pred.data.reshape(n, -1) @ world.vae_pinv.T).reshape(
-        n, cfg.image_hw, cfg.image_hw, cfg.channels)
+    lowlevel_px = decode_vae(world, vae_pred.data)
     final = np.clip(blend_images(unrefined, lowlevel_px), 0.0, 1.0)
     return {"unrefined": unrefined, "lowlevel": lowlevel_px, "final": final}
 

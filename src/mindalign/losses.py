@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import seeds
 from .tensor import (
     Tensor,
     add,
@@ -73,6 +72,16 @@ def _check_contrastive_inputs(pred: Tensor, target: Tensor, tau: float) -> None:
                              f"{np.abs(norms - 1.0).max():.2e})")
 
 
+def _bidirectional_ce(pred: Tensor, target: Tensor, tau: float, labels: np.ndarray,
+                      labels_back: np.ndarray) -> Tensor:
+    """Mean of the two retrieval directions' cross-entropies: pred rows scored
+    against targets to ``labels``, and the transpose to ``labels_back``."""
+    logits = scale(matmul(pred, transpose(target)), 1.0 / tau)
+    fwd = cross_entropy_soft(logits, labels)
+    bwd = cross_entropy_soft(transpose(logits), labels_back)
+    return scale(add(fwd, bwd), 0.5)
+
+
 def soft_clip_loss(pred, target, tau: float) -> Tensor:
     """Cross-entropy to soft labels from the target self-similarity matrix.
 
@@ -85,10 +94,7 @@ def soft_clip_loss(pred, target, tau: float) -> Tensor:
     z = sim_tt - sim_tt.max(axis=1, keepdims=True)
     e = np.exp(z)
     labels = e / e.sum(axis=1, keepdims=True)
-    logits = scale(matmul(pred, transpose(target)), 1.0 / tau)
-    fwd = cross_entropy_soft(logits, labels)
-    bwd = cross_entropy_soft(transpose(logits), labels)
-    return scale(add(fwd, bwd), 0.5)
+    return _bidirectional_ce(pred, target, tau, labels, labels)
 
 
 def mix_voxels(voxels: np.ndarray, lam: np.ndarray, perm: np.ndarray) -> np.ndarray:
@@ -97,19 +103,17 @@ def mix_voxels(voxels: np.ndarray, lam: np.ndarray, perm: np.ndarray) -> np.ndar
     return lam[:, None] * v + (1.0 - lam[:, None]) * v[perm]
 
 
-def mixco_augment(voxels: np.ndarray, beta_params: tuple[float, float] = (0.15, 0.15),
-                  seed: int = 0) -> tuple[np.ndarray, MixCoBatch]:
-    """Draw mixing coefficients and a partner permutation, deterministic in seed.
+def mixco_augment(voxels: np.ndarray, beta_params: tuple[float, float],
+                  rng: np.random.Generator) -> tuple[np.ndarray, MixCoBatch]:
+    """Draw mixing coefficients, then a partner permutation, from ``rng``.
 
-    Returns the mixed voxels and the batch that labels them.
+    Returns the mixed voxels and the batch that labels them. A one-row
+    batch mixes with itself.
     """
-    v = np.asarray(voxels, dtype=np.float64)
-    if v.shape[0] < 2:
-        raise ValueError("mixco needs a batch of at least 2")
-    rng = seeds.rng(seed, "mixco")
-    lam = rng.beta(beta_params[0], beta_params[1], size=v.shape[0])
-    perm = rng.permutation(v.shape[0])
-    return mix_voxels(v, lam, perm), MixCoBatch(lam=lam, perm=perm)
+    n = voxels.shape[0]
+    lam = rng.beta(beta_params[0], beta_params[1], size=n)
+    perm = rng.permutation(n)
+    return mix_voxels(voxels, lam, perm), MixCoBatch(lam=lam, perm=perm)
 
 
 def mixco_label_matrix(mix: MixCoBatch) -> np.ndarray:
@@ -126,10 +130,7 @@ def bimixco_loss(pred, target, mix: MixCoBatch, tau: float) -> Tensor:
     pred, target = Tensor.lift(pred), Tensor.lift(target)
     _check_contrastive_inputs(pred, target, tau)
     labels = mixco_label_matrix(mix)
-    logits = scale(matmul(pred, transpose(target)), 1.0 / tau)
-    fwd = cross_entropy_soft(logits, labels)
-    bwd = cross_entropy_soft(transpose(logits), labels.T)
-    return scale(add(fwd, bwd), 0.5)
+    return _bidirectional_ce(pred, target, tau, labels, labels.T)
 
 
 def loss_phase(iteration: int, total_iterations: int) -> str:

@@ -392,7 +392,7 @@ def prior_train_step(mp: ModelParams, backbone_tokens, target_tokens, t,
     eps = seeds.rng(noise_seed, "prior-noise").normal(size=target.shape)
     ab = sched.alpha_bar[t_arr][:, None]
     x_t = Tensor(np.sqrt(ab) * target.data + np.sqrt(1.0 - ab) * eps)
-    pred = _denoise_core(mp, x_t, t_arr, _cond_embed(mp, _flat_tokens(mp, backbone_tokens)))
+    pred = denoise(mp, x_t, t_arr, backbone_tokens)
     return mse_loss(pred, target.detach())
 
 

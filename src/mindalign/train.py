@@ -26,7 +26,7 @@ from .losses import (
     loss_phase,
     lowlevel_loss,
     LowLevelTargets,
-    mix_voxels,
+    mixco_augment,
     soft_clip_loss,
     total_loss,
 )
@@ -48,8 +48,9 @@ from .optim import AdamW, warmup_cosine_lr
 from .tensor import Tensor, concat, mse_loss
 from .world import SubjectDataset, WorldSpec, teacher_targets, token_targets, vae_targets
 
-ABLATION_VARIANTS = ("Prior", "Prior+Low", "Prior+Ret", "Ret", "Ret+Low", "All",
-                     "ridge-vs-MLP")
+# the sweep `ablation_run` and the `ablate` command make unless told otherwise
+DEFAULT_ABLATION_VARIANTS = ("Prior", "Prior+Low", "Prior+Ret", "Ret", "Ret+Low", "All")
+ABLATION_VARIANTS = DEFAULT_ABLATION_VARIANTS + ("ridge-vs-MLP",)
 
 
 @dataclass(frozen=True)
@@ -60,10 +61,12 @@ class TrainConfig:
     lr: float = 3e-4
     warmup_frac: float = 0.05
     ridge_weight_decay: float = 1e-2
-    weights: LossWeights = field(default_factory=LossWeights)
+    alpha1: float = 0.033             # contrastive loss weight
+    alpha2: float = 0.016             # low-level loss weight
     tau_bimixco: float = 0.125
     tau_softclip: float = 0.25
-    mixco_beta: tuple[float, float] = (0.15, 0.15)
+    mixco_beta_a: float = 0.15        # MixCo's Beta(a, b) mixing coefficients
+    mixco_beta_b: float = 0.15
     seed: int = 0
     held_out_subject: str = "s7"
     n_finetune_sessions: int = 1
@@ -82,6 +85,17 @@ class TrainConfig:
             raise ConfigError("at least one objective must stay enabled")
         if self.tau_bimixco <= 0 or self.tau_softclip <= 0:
             raise ConfigError("temperatures must be positive")
+        if self.alpha1 < 0 or self.alpha2 < 0:
+            raise ConfigError(f"loss weights must be non-negative, got alpha1 = "
+                              f"{self.alpha1}, alpha2 = {self.alpha2}")
+        if self.mixco_beta_a <= 0 or self.mixco_beta_b <= 0:
+            raise ConfigError(f"MixCo's beta parameters must be positive, got "
+                              f"mixco_beta_a = {self.mixco_beta_a}, "
+                              f"mixco_beta_b = {self.mixco_beta_b}")
+
+    @property
+    def weights(self) -> LossWeights:
+        return LossWeights(self.alpha1, self.alpha2)
 
 
 @dataclass
@@ -229,14 +243,11 @@ def _mixco_per_subject(vox, subject_ids, cfg, master, it):
     lams, perms = [], []
     offset = 0
     for sid in subject_ids:
-        v = vox[sid]
-        r = seeds.rng(master, "mixco", it, sid)
-        lam = r.beta(cfg.mixco_beta[0], cfg.mixco_beta[1], size=v.shape[0])
-        perm = r.permutation(v.shape[0])
-        mixed[sid] = mix_voxels(v, lam, perm)
-        lams.append(lam)
-        perms.append(perm + offset)
-        offset += v.shape[0]
+        mixed[sid], mix = mixco_augment(vox[sid], (cfg.mixco_beta_a, cfg.mixco_beta_b),
+                                        seeds.rng(master, "mixco", it, sid))
+        lams.append(mix.lam)
+        perms.append(mix.perm + offset)
+        offset += vox[sid].shape[0]
     return mixed, MixCoBatch(lam=np.concatenate(lams), perm=np.concatenate(perms))
 
 
@@ -343,8 +354,7 @@ def variant_config(cfg: TrainConfig, variant: str) -> TrainConfig:
 
 def ablation_run(world: WorldSpec, dataset: SubjectDataset, k_sessions: int,
                  cfg: TrainConfig, mcfg: ModelConfig, eval_cfg,
-                 variants: tuple[str, ...] = ("Prior", "Prior+Low", "Prior+Ret",
-                                              "Ret", "Ret+Low", "All")):
+                 variants: tuple[str, ...] = DEFAULT_ABLATION_VARIANTS):
     """Train and evaluate one model per component combination, shared seed."""
     from .evaluate import evaluate_model  # breaks the module cycle
 

@@ -83,6 +83,11 @@ class WorldConfig:
                 f"pixel dim {self.pixel_dim}; token encoder cannot be injective")
         if self.voxels_min > self.voxels_max:
             raise ConfigError("voxels_min exceeds voxels_max")
+        # the smoothing kernel spans 4 sigma each way; past the image it only
+        # costs memory and time
+        if self.smooth_sigma > self.image_hw:
+            raise ConfigError(f"world.smooth_sigma = {self.smooth_sigma} exceeds "
+                              f"world.image_hw = {self.image_hw}")
 
 
 @dataclass
@@ -261,21 +266,6 @@ def _partition_regions(n_voxels: int) -> dict[str, np.ndarray]:
             for name, lo, hi in zip(REGION_NAMES, bounds[:-1], bounds[1:])}
 
 
-def simulate_response(world: WorldSpec, subject_id: str, image: np.ndarray,
-                      seed: int) -> np.ndarray:
-    """Single-trial voxel vector: A @ pixels + sigma * gaussian(seed)."""
-    fm = _subject(world, subject_id)
-    flat = np.asarray(image, dtype=np.float64).reshape(-1)
-    if flat.shape[0] != world.config.pixel_dim:
-        raise DataError(f"image has {flat.shape[0]} values, world expects "
-                        f"{world.config.pixel_dim}")
-    clean = fm.matrix @ flat
-    if fm.noise_sigma == 0.0:
-        return clean
-    noise = seeds.rng(seed, "response-noise").normal(size=fm.n_voxels)
-    return clean + fm.noise_sigma * noise
-
-
 def _subject(world: WorldSpec, subject_id: str) -> SubjectForwardModel:
     try:
         return world.subjects[subject_id]
@@ -336,54 +326,11 @@ def normalize(dataset: SubjectDataset) -> SubjectDataset:
     )
 
 
-# -- frozen encoders -----------------------------------------------------
+# -- frozen encoders and their pre-images, over [N, ...] stacks ------------
 
-
-def encode_image(world: WorldSpec, image: np.ndarray) -> np.ndarray:
-    """Token-grid embedding of one image: reshape(E @ pixels)."""
-    flat = _check_pixels(world, image)
-    return (world.encoder @ flat).reshape(world.config.n_tokens, world.config.d_token)
-
-
-def decode_tokens(world: WorldSpec, tokens: np.ndarray) -> np.ndarray:
-    """Least-squares pixel pre-image of a token embedding."""
-    cfg = world.config
-    flat = np.asarray(tokens, dtype=np.float64).reshape(-1)
-    if flat.shape[0] != cfg.token_dim:
-        raise DataError(f"tokens have {flat.shape[0]} values, expected {cfg.token_dim}")
-    return (world.decoder @ flat).reshape(cfg.image_hw, cfg.image_hw, cfg.channels)
-
-
-def encode_teacher(world: WorldSpec, image: np.ndarray) -> np.ndarray:
-    return world.teacher @ _check_pixels(world, image)
-
-
-def encode_vae(world: WorldSpec, image: np.ndarray) -> np.ndarray:
-    cfg = world.config
-    return (world.vae_map @ _check_pixels(world, image)).reshape(
-        cfg.vae_hw, cfg.vae_hw, cfg.vae_channels)
-
-
-def decode_vae(world: WorldSpec, latent: np.ndarray) -> np.ndarray:
-    """Least-squares pixel pre-image of a low-level latent."""
-    cfg = world.config
-    flat = np.asarray(latent, dtype=np.float64).reshape(-1)
-    if flat.shape[0] != cfg.vae_dim:
-        raise DataError(f"latent has {flat.shape[0]} values, expected {cfg.vae_dim}")
-    return (world.vae_pinv @ flat).reshape(cfg.image_hw, cfg.image_hw, cfg.channels)
-
-
-def _check_pixels(world: WorldSpec, image: np.ndarray) -> np.ndarray:
-    flat = np.asarray(image, dtype=np.float64).reshape(-1)
-    if flat.shape[0] != world.config.pixel_dim:
-        raise DataError(f"image has {flat.shape[0]} values, expected "
-                        f"{world.config.pixel_dim}")
-    return flat
-
-
-# batched target helpers (flattened rows), used by training and evaluation
 
 def token_targets(world: WorldSpec, images: np.ndarray) -> np.ndarray:
+    """Token embeddings of ``[N, H, W, C]`` images, flattened: ``[N, token_dim]``."""
     return images.reshape(images.shape[0], -1) @ world.encoder.T
 
 
@@ -393,6 +340,22 @@ def teacher_targets(world: WorldSpec, images: np.ndarray) -> np.ndarray:
 
 def vae_targets(world: WorldSpec, images: np.ndarray) -> np.ndarray:
     return images.reshape(images.shape[0], -1) @ world.vae_map.T
+
+
+def decode_tokens(world: WorldSpec, tokens: np.ndarray) -> np.ndarray:
+    """Least-squares pixel pre-images of ``[N, ...]`` token embeddings: ``[N, H, W, C]``."""
+    cfg = world.config
+    n = tokens.shape[0]
+    return (tokens.reshape(n, -1) @ world.decoder.T).reshape(
+        n, cfg.image_hw, cfg.image_hw, cfg.channels)
+
+
+def decode_vae(world: WorldSpec, latents: np.ndarray) -> np.ndarray:
+    """Least-squares pixel pre-images of ``[N, ...]`` low-level latents: ``[N, H, W, C]``."""
+    cfg = world.config
+    n = latents.shape[0]
+    return (latents.reshape(n, -1) @ world.vae_pinv.T).reshape(
+        n, cfg.image_hw, cfg.image_hw, cfg.channels)
 
 
 @dataclass
@@ -406,9 +369,6 @@ class SecondaryEncoder:
 
     token_map: np.ndarray    # [m_tokens, n_tokens]
     feature_map: np.ndarray  # [d_out, d_token]
-
-    def encode(self, world: WorldSpec, image: np.ndarray) -> np.ndarray:
-        return self.token_map @ encode_image(world, image) @ self.feature_map.T
 
     def encode_batch(self, world: WorldSpec, images: np.ndarray) -> np.ndarray:
         toks = token_targets(world, images).reshape(

@@ -303,10 +303,10 @@ def test_criterion_7_oracle_equivalence():
 
 def test_criterion_8_round_trips(tmp_path, tiny_world, tiny_datasets, tiny_mcfg):
     """Codec and serialization round trips."""
-    from mindalign.world import decode_tokens, encode_image
+    from mindalign.world import decode_tokens, token_targets
     world = generate_world(WorldConfig(), seed=7)
     img = world.images[3]
-    err = np.abs(decode_tokens(world, encode_image(world, img)) - img).max()
+    err = np.abs(decode_tokens(world, token_targets(world, img[None]))[0] - img).max()
     assert err < 1e-6
 
     mp = init_model(tiny_world.config, tiny_mcfg,

@@ -81,6 +81,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config("train.alpha1 = -1\n")
 
+    @pytest.mark.parametrize("line", ["train.mixco_beta_a = 0", "train.mixco_beta_b = -1",
+                                      "train.alpha2 = -0.5"])
+    def test_loss_parameter_out_of_range_rejected(self, line):
+        with pytest.raises(ConfigError, match="alpha|mixco_beta"):
+            parse_config(line + "\n")
+
+    def test_alpha_and_beta_are_train_fields(self):
+        rc = parse_config("train.alpha2 = 0.5\ntrain.mixco_beta_b = 0.25\n")
+        assert (rc.train.alpha1, rc.train.alpha2) == (0.033, 0.5)
+        assert (rc.train.weights.alpha1, rc.train.weights.alpha2) == (0.033, 0.5)
+        assert (rc.train.mixco_beta_a, rc.train.mixco_beta_b) == (0.15, 0.25)
+
+    def test_smooth_sigma_bounded_by_image_size(self):
+        assert parse_config("world.image_hw = 4\nworld.smooth_sigma = 4\n"
+                            ).world.smooth_sigma == 4.0
+        with pytest.raises(ConfigError, match="world.smooth_sigma"):
+            parse_config("world.image_hw = 4\nworld.smooth_sigma = 4.5\n")
+
     def test_pool_size_cross_check(self):
         with pytest.raises(ConfigError, match="pool_size"):
             parse_config("eval.pool_size = 300\nworld.n_shared = 50\n")
@@ -616,4 +634,40 @@ def test_layernorm_variance_overflow_exits_4_in_one_line(tmp_path, capsys):
                  "--out", str(out)]) == 4
     assert capsys.readouterr().err == \
         "numeric error: non-finite value in layernorm variance\n"
+    assert not (out / "checkpoint.me2c").exists()
+
+
+@pytest.mark.parametrize("command, line", [("scratch", "train.mixco_beta_a = 0"),
+                                           ("gen-data", "world.smooth_sigma = 1e10")])
+def test_out_of_range_parameter_exits_2_and_writes_nothing(tmp_path, capsys, command,
+                                                           line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(SMALL_CFG + line + "\n")
+    out = tmp_path / "s"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+# A numpy overflow, divide-by-zero or invalid value is a numeric error: the
+# run stops with exit 4 and one line, not with a warning beside a result.
+@pytest.mark.parametrize("epochs, line", [
+    # AdamW's steps overflow a matmul in the next forward pass
+    (3, "train.lr = 1e150"),
+    # the logits overflow AdamW's second moment, which would freeze the
+    # updates and still end in a checkpoint
+    (2, "train.tau_bimixco = 1e-300"),
+])
+def test_numpy_floating_point_error_exits_4_in_one_line(tmp_path, capsys, epochs, line):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(SMALL_CFG.replace("train.epochs = 2", f"train.epochs = {epochs}")
+                   + line + "\n")
+    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "s"
+    assert main(["scratch", "--config", str(cfg), "--data", str(tmp_path / "data"),
+                 "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error:") and err.count("\n") == 1
     assert not (out / "checkpoint.me2c").exists()

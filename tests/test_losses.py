@@ -106,7 +106,7 @@ class TestMixCo:
     def test_convexity_bounds(self, seed):
         r = np.random.Generator(np.random.PCG64(seed))
         v = r.normal(size=(4, 6))
-        mixed, mix = mixco_augment(v, seed=seed)
+        mixed, mix = mixco_augment(v, (0.15, 0.15), r)
         lo = np.minimum(v, v[mix.perm])
         hi = np.maximum(v, v[mix.perm])
         assert np.all(mixed >= lo - 1e-12)
@@ -114,15 +114,29 @@ class TestMixCo:
 
     def test_deterministic_and_valid(self):
         v = np.random.Generator(np.random.PCG64(3)).normal(size=(6, 5))
-        mixed_a, a = mixco_augment(v, seed=9)
-        mixed_b, b = mixco_augment(v, seed=9)
+        mixed_a, a = mixco_augment(v, (0.15, 0.15), np.random.Generator(np.random.PCG64(9)))
+        mixed_b, b = mixco_augment(v, (0.15, 0.15), np.random.Generator(np.random.PCG64(9)))
         np.testing.assert_array_equal(mixed_a, mixed_b)
         assert np.all((a.lam >= 0) & (a.lam <= 1))
         assert sorted(a.perm.tolist()) == list(range(6))
 
-    def test_small_batch_rejected(self):
-        with pytest.raises(ValueError):
-            mixco_augment(np.zeros((1, 3)), seed=0)
+    def test_draws_lam_then_perm(self):
+        v = np.random.Generator(np.random.PCG64(5)).normal(size=(5, 3))
+        mixed, mix = mixco_augment(v, (0.3, 0.7), np.random.Generator(np.random.PCG64(2)))
+        r = np.random.Generator(np.random.PCG64(2))
+        lam = r.beta(0.3, 0.7, size=5)
+        perm = r.permutation(5)
+        np.testing.assert_array_equal(mix.lam, lam)
+        np.testing.assert_array_equal(mix.perm, perm)
+        np.testing.assert_array_equal(mixed, mix_voxels(v, lam, perm))
+
+    def test_one_row_batch_mixes_with_itself(self):
+        # pretraining mixes within each subject, and a subject's sub-batch
+        # may hold one row; the whole batch's size is checked by the loss
+        v = np.arange(3.0)[None]
+        mixed, mix = mixco_augment(v, (0.15, 0.15), np.random.Generator(np.random.PCG64(0)))
+        np.testing.assert_array_equal(mix.perm, [0])
+        np.testing.assert_allclose(mixed, v, rtol=1e-15)
 
 
 class TestBiMixCo:

@@ -86,6 +86,25 @@ class TestPretrain:
         pretrain(world, datasets, cfg, mcfg)
         assert totals == [63]
 
+    def test_mixco_draws_per_subject_stream_one_row_each(self, tiny_world, tiny_datasets,
+                                                          tiny_mcfg):
+        # one row per subject: each sub-batch mixes with itself; the batch of
+        # 3 is what the contrastive loss checks
+        vox = {sid: tiny_datasets[sid].voxels[:1] for sid in ("s0", "s1", "s2")}
+        mixed, mix = train_mod._mixco_per_subject(vox, sorted(vox), FAST, 5, 2)
+        for i, sid in enumerate(sorted(vox)):
+            r = seeds.rng(5, "mixco", 2, sid)
+            lam = r.beta(FAST.mixco_beta_a, FAST.mixco_beta_b, size=1)
+            assert r.permutation(1).tolist() == [0] and mix.perm[i] == i
+            assert mix.lam[i] == lam[0]
+            np.testing.assert_array_equal(
+                mixed[sid], lam[:, None] * vox[sid] + (1.0 - lam[:, None]) * vox[sid])
+        pre = {sid: ds for sid, ds in tiny_datasets.items() if sid != "s3"}
+        cfg = TrainConfig(epochs=1, samples_per_subject_per_batch=1, batch_size=6,
+                          seed=3, held_out_subject="s3")
+        _, log = pretrain(tiny_world, pre, cfg, tiny_mcfg)
+        assert log.rows[0][1] == "bimixco"
+
     def test_seeded_rerun_bit_identical(self, tiny_world, tiny_datasets, tiny_mcfg):
         pre = {sid: ds for sid, ds in tiny_datasets.items() if sid != "s3"}
         _, log1 = pretrain(tiny_world, pre, FAST, tiny_mcfg)

@@ -14,9 +14,6 @@ from mindalign.world import (
     WorldConfig,
     decode_tokens,
     decode_vae,
-    encode_image,
-    encode_teacher,
-    encode_vae,
     generate_dataset,
     generate_world,
     load_dataset_dir,
@@ -25,7 +22,9 @@ from mindalign.world import (
     save_dataset_dir,
     save_world_manifest,
     secondary_token_encoder,
-    simulate_response,
+    teacher_targets,
+    token_targets,
+    vae_targets,
 )
 from oracles import smooth_images_out_of_place
 
@@ -131,30 +130,25 @@ class TestGenerateWorld:
 
 
 class TestSimulateResponse:
+    """`generate_dataset` is the one forward simulation: A @ pixels plus noise."""
+
     def test_noiseless_is_exact_linear_map(self, world):
         cfg = WorldConfig(**{**SMALL.__dict__, "noise_sigma": 0.0})
         w0 = generate_world(cfg, seed=7)
-        img = w0.images[0]
-        v = simulate_response(w0, "s0", img, seed=3)
-        np.testing.assert_array_equal(v, w0.subjects["s0"].matrix @ img.reshape(-1))
-
-    def test_zero_image_zero_response(self, world):
-        cfg = WorldConfig(**{**SMALL.__dict__, "noise_sigma": 0.0})
-        w0 = generate_world(cfg, seed=7)
-        v = simulate_response(w0, "s1", np.zeros((8, 8, 3)), seed=3)
-        np.testing.assert_array_equal(v, np.zeros_like(v))
+        d = generate_dataset(w0, "s0", seed=3)
+        pixels = w0.images[d.image_ids].reshape(d.n_trials, -1)
+        np.testing.assert_array_equal(d.voxels, pixels @ w0.subjects["s0"].matrix.T)
 
     def test_seed_repeats_noise(self, world):
-        img = world.images[1]
-        a = simulate_response(world, "s0", img, seed=42)
-        b = simulate_response(world, "s0", img, seed=42)
+        a = generate_dataset(world, "s0", seed=42).voxels
+        b = generate_dataset(world, "s0", seed=42).voxels
         assert np.array_equal(a, b)
-        c = simulate_response(world, "s0", img, seed=43)
+        c = generate_dataset(world, "s0", seed=43).voxels
         assert not np.array_equal(a, c)
 
     def test_unknown_subject(self, world):
         with pytest.raises(DataError):
-            simulate_response(world, "nope", world.images[0], seed=0)
+            generate_dataset(world, "nope", seed=0)
 
 
 class TestGenerateDataset:
@@ -247,55 +241,53 @@ class TestNormalize:
 
 class TestFrozenEncoders:
     def test_encode_decode_roundtrip(self, default_world):
-        img = default_world.images[5]
-        back = decode_tokens(default_world, encode_image(default_world, img))
-        assert np.abs(back - img).max() < 1e-6
+        imgs = default_world.images[5:8]
+        back = decode_tokens(default_world, token_targets(default_world, imgs))
+        assert back.shape == imgs.shape
+        assert np.abs(back - imgs).max() < 1e-6
 
     def test_encode_zero_is_zero(self, world):
-        z = encode_image(world, np.zeros((8, 8, 3)))
+        z = token_targets(world, np.zeros((2, 8, 8, 3)))
         np.testing.assert_array_equal(z, np.zeros_like(z))
 
     def test_out_of_range_tokens_project(self, world):
         # re-encoding the least-squares pre-image orthogonally projects onto
         # the encoder range; checked against an SVD-based projector
         rng = np.random.default_rng(0)
-        t = rng.normal(size=world.config.token_dim)
-        reenc = world.encoder @ (world.decoder @ t)
+        t = rng.normal(size=(3, world.config.token_dim))
+        reenc = token_targets(world, decode_tokens(world, t))
         U = np.linalg.svd(world.encoder, full_matrices=False)[0]
-        np.testing.assert_allclose(reenc, U @ (U.T @ t), atol=1e-8)
+        np.testing.assert_allclose(reenc, t @ U @ U.T, atol=1e-8)
 
     def test_teacher_vae_linear(self, world):
-        a, b = world.images[0], world.images[1]
-        lhs = encode_teacher(world, a + b)
-        rhs = encode_teacher(world, a) + encode_teacher(world, b)
+        a, b = world.images[0:2], world.images[2:4]
+        lhs = teacher_targets(world, a + b)
+        rhs = teacher_targets(world, a) + teacher_targets(world, b)
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
-        lhs_v = encode_vae(world, a + b)
-        rhs_v = encode_vae(world, a) + encode_vae(world, b)
+        lhs_v = vae_targets(world, a + b)
+        rhs_v = vae_targets(world, a) + vae_targets(world, b)
         np.testing.assert_allclose(lhs_v, rhs_v, atol=1e-9)
 
     def test_teacher_dim_config_echo(self, world):
-        assert encode_teacher(world, world.images[0]).shape == (SMALL.d_teacher,)
+        assert teacher_targets(world, world.images[:3]).shape == (3, SMALL.d_teacher)
 
     def test_vae_shapes_and_inverse(self, world):
-        lat = encode_vae(world, world.images[2])
-        assert lat.shape == (4, 4, 4)
+        lat = vae_targets(world, world.images[2:5])
+        assert lat.shape == (3, 4 * 4 * 4)
         # vae map is wide, so decode is only a least-squares pre-image;
         # re-encoding it must reproduce the latent
-        back = encode_vae(world, decode_vae(world, lat))
-        np.testing.assert_allclose(back, lat, atol=1e-8)
-
-    def test_dim_mismatch_rejected(self, world):
-        with pytest.raises(DataError):
-            encode_image(world, np.zeros((4, 4, 3)))
-        with pytest.raises(DataError):
-            decode_tokens(world, np.zeros(17))
+        px = decode_vae(world, lat.reshape(3, 4, 4, 4))
+        assert px.shape == (3, 8, 8, 3)
+        np.testing.assert_allclose(vae_targets(world, px), lat, atol=1e-8)
 
     def test_secondary_encoder_factorized(self, world):
         enc_b = secondary_token_encoder(world, m_tokens=6, d_out=16, seed=3)
-        one = enc_b.encode(world, world.images[0])
-        assert one.shape == (6, 16)
         batch = enc_b.encode_batch(world, world.images[:4])
-        np.testing.assert_allclose(batch[0], one, atol=1e-12)
+        assert batch.shape == (4, 6, 16)
+        toks = token_targets(world, world.images[:4]).reshape(4, 8, 32)
+        for b in range(4):
+            np.testing.assert_allclose(
+                batch[b], enc_b.token_map @ toks[b] @ enc_b.feature_map.T, atol=1e-12)
 
 
 class TestPersistence:
