@@ -134,17 +134,24 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _acc(self, g: np.ndarray) -> None:
-        # gradients are computed only for operands that require them: each
-        # closure checks before it computes, and this check covers the root
-        # of `backward`. The first gradient is written in one pass into a
-        # fresh array of this shape: `g + 0.0` has the bits of `0.0 + g`
-        # (-0.0 becomes +0.0), and `g` itself is never kept, since add and
-        # sub hand one array to both parents
+    def _acc(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add ``g`` into this tensor's gradient, if it requires one.
+
+        Gradients are computed only for operands that require them: each
+        closure checks before it computes, and this check covers the root
+        of ``backward``. A ``fresh`` g is a new array of this shape that
+        nothing else references (matmul's products): it becomes the first
+        gradient as it is, so a matmul operand's first gradient may keep a
+        -0.0. Any other first gradient is written in one pass into a new
+        array of this shape: ``g + 0.0`` has the bits of ``0.0 + g`` (-0.0
+        becomes +0.0), and ``g`` itself is never kept, since add and sub
+        hand one array to both parents. AdamW's moments and weights do not
+        depend on a zero's sign: ``m`` starts at +0.0 and ``v`` squares it.
+        """
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+            self.grad = g if fresh else np.add(g, 0.0, out=np.empty_like(self.data))
         else:
             self.grad += g
 
@@ -288,9 +295,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def _bwd(g):
         if a.requires_grad:
-            a._acc(g @ b.data.T)
+            a._acc(g @ b.data.T, fresh=True)
         if b.requires_grad:
-            b._acc(a.data.T @ g)
+            b._acc(a.data.T @ g, fresh=True)
 
     out._backward_fn = _bwd
     return out

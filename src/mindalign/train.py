@@ -138,7 +138,10 @@ def _train_loop(world: WorldSpec, datasets: dict[str, SubjectDataset],
                 master: int) -> TrainLog:
     """Shared optimization loop over equal per-subject batch slices.
 
-    Steps exactly the parameters of ``mp`` that require grad, in place.
+    Steps exactly the parameters of ``mp`` that require grad, in place, and
+    releases their gradients when it returns: a trained model holds only its
+    weights. A numeric failure is re-raised with its type and the iteration,
+    phase and part (forward, backward or optimizer step) appended.
     """
     subject_ids = sorted(datasets)
     train_idx = {sid: np.flatnonzero(datasets[sid].train_mask) for sid in subject_ids}
@@ -161,18 +164,25 @@ def _train_loop(world: WorldSpec, datasets: dict[str, SubjectDataset],
             phase = loss_phase(it, total_iters)
             batch_rows = {sid: orders[sid][step * per_subject:(step + 1) * per_subject]
                           for sid in subject_ids}
-            loss_parts = _batch_losses(world, datasets, mp, cfg, phase, batch_rows,
-                                       master, it)
-            total = total_loss(*loss_parts, cfg.weights)
-            opt.zero_grad()
-            total.backward()
-            opt.lr = warmup_cosine_lr(it, total_iters, cfg.lr, cfg.warmup_frac)
-            opt.step()
+            part = "forward"
+            try:
+                loss_parts = _batch_losses(world, datasets, mp, cfg, phase, batch_rows,
+                                           master, it)
+                total = total_loss(*loss_parts, cfg.weights)
+                opt.zero_grad()
+                part = "backward"
+                total.backward()
+                opt.lr = warmup_cosine_lr(it, total_iters, cfg.lr, cfg.warmup_frac)
+                part = "optimizer step"
+                opt.step()
+            except FloatingPointError as exc:  # NonFiniteError included
+                raise type(exc)(f"{exc} (iteration {it}, {phase}, {part})") from exc
             log.add(it, phase, loss_parts[0].item(), loss_parts[1].item(),
                     loss_parts[2].item(), total.item())
             for sid in subject_ids:
                 log.used_trials.update((sid, int(r)) for r in batch_rows[sid])
             it += 1
+    opt.zero_grad()
     return log
 
 
@@ -285,11 +295,15 @@ def pretrain(world: WorldSpec, datasets: dict[str, SubjectDataset],
     if cfg.held_out_subject in datasets:
         raise SubjectLeakError(
             f"held-out subject {cfg.held_out_subject} present in pretraining data")
+    per_subject = cfg.samples_per_subject_per_batch
+    if len(datasets) * per_subject < 2 and (cfg.use_retrieval or cfg.use_lowlevel):
+        raise ConfigError(
+            f"a pretraining batch of {len(datasets)} subject(s) x {per_subject} "
+            f"sample(s) per subject has 1 row; the contrastive losses need at least 2")
     _require_normalized(datasets)
     mp = _fresh_model(world, datasets, cfg, mcfg)
     mp.meta["pretrain_subjects"] = ",".join(sorted(datasets))
-    log = _train_loop(world, datasets, mp, cfg,
-                      per_subject=cfg.samples_per_subject_per_batch,
+    log = _train_loop(world, datasets, mp, cfg, per_subject=per_subject,
                       master=seeds.derive(cfg.seed, "pretrain"))
     return mp, log
 
@@ -373,7 +387,8 @@ def train_converter(mp: ModelParams, world: WorldSpec, encoder_b, images: np.nda
     """Fit the token-space converter on (primary tokens, secondary tokens) pairs.
 
     Returns the final training MSE. The converter is trained in place, also
-    when a ridge-only fine-tune left its parameters without ``requires_grad``.
+    when a ridge-only fine-tune left its parameters without ``requires_grad``,
+    and keeps no gradients afterwards.
     """
     tok_a = token_targets(world, images).reshape(
         images.shape[0], world.config.n_tokens, world.config.d_token)
@@ -394,4 +409,5 @@ def train_converter(mp: ModelParams, world: WorldSpec, encoder_b, images: np.nda
             loss.backward()
             opt.step()
             last = loss.item()
+    opt.zero_grad()
     return last

@@ -623,7 +623,8 @@ def test_checkpoint_not_finite_as_float32_exits_4_and_is_not_written(tmp_path, c
 
 def test_layernorm_variance_overflow_exits_4_in_one_line(tmp_path, capsys):
     # at this learning rate the first steps leave weights whose activations'
-    # squared deviations overflow inside a layernorm: one line names the op
+    # squared deviations overflow inside a layernorm: one line names the op,
+    # the iteration, the phase and the part of the step
     cfg = tmp_path / "overflow.cfg"
     cfg.write_text(SMALL_CFG.replace("train.epochs = 2", "train.epochs = 1")
                    + "train.lr = 1e300\n")
@@ -632,8 +633,8 @@ def test_layernorm_variance_overflow_exits_4_in_one_line(tmp_path, capsys):
     out = tmp_path / "s"
     assert main(["scratch", "--config", str(cfg), "--data", str(tmp_path / "data"),
                  "--out", str(out)]) == 4
-    assert capsys.readouterr().err == \
-        "numeric error: non-finite value in layernorm variance\n"
+    assert capsys.readouterr().err == ("numeric error: non-finite value in layernorm "
+                                       "variance (iteration 1, softclip, forward)\n")
     assert not (out / "checkpoint.me2c").exists()
 
 
@@ -650,16 +651,40 @@ def test_out_of_range_parameter_exits_2_and_writes_nothing(tmp_path, capsys, com
     assert not out.exists()
 
 
+def test_one_row_pretraining_batch_exits_2_in_one_line(tmp_path, capsys):
+    # one pretraining subject at one sample per subject: every batch has one
+    # row, and the contrastive losses need two
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(SMALL_CFG.replace("world.n_subjects = 3", "world.n_subjects = 2")
+                   .replace("train.samples_per_subject_per_batch = 3",
+                            "train.samples_per_subject_per_batch = 1")
+                   .replace("train.held_out_subject = s2", "train.held_out_subject = s1"))
+    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "p"
+    assert main(["pretrain", "--config", str(cfg), "--data", str(tmp_path / "data"),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: a pretraining batch of 1 subject(s) x 1 sample(s) per subject "
+        "has 1 row; the contrastive losses need at least 2\n")
+    assert not (out / "checkpoint.me2c").exists()
+
+
 # A numpy overflow, divide-by-zero or invalid value is a numeric error: the
 # run stops with exit 4 and one line, not with a warning beside a result.
-@pytest.mark.parametrize("epochs, line", [
+@pytest.mark.parametrize("epochs, line, where", [
     # AdamW's steps overflow a matmul in the next forward pass
-    (3, "train.lr = 1e150"),
+    pytest.param(3, "train.lr = 1e150",
+                 "overflow encountered in matmul (iteration 1, bimixco, forward)",
+                 id="3-train.lr = 1e150"),
     # the logits overflow AdamW's second moment, which would freeze the
     # updates and still end in a checkpoint
-    (2, "train.tau_bimixco = 1e-300"),
+    pytest.param(2, "train.tau_bimixco = 1e-300",
+                 "overflow encountered in multiply (iteration 0, bimixco, optimizer step)",
+                 id="2-train.tau_bimixco = 1e-300"),
 ])
-def test_numpy_floating_point_error_exits_4_in_one_line(tmp_path, capsys, epochs, line):
+def test_numpy_floating_point_error_exits_4_in_one_line(tmp_path, capsys, epochs, line,
+                                                        where):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(SMALL_CFG.replace("train.epochs = 2", f"train.epochs = {epochs}")
                    + line + "\n")
@@ -669,5 +694,5 @@ def test_numpy_floating_point_error_exits_4_in_one_line(tmp_path, capsys, epochs
     assert main(["scratch", "--config", str(cfg), "--data", str(tmp_path / "data"),
                  "--out", str(out)]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("numeric error:") and err.count("\n") == 1
+    assert err == f"numeric error: {where}\n"
     assert not (out / "checkpoint.me2c").exists()

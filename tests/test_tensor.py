@@ -259,6 +259,21 @@ class TestOnlyNeededGradients:
         assert peak < 1_000_000
         assert W.grad is None and x.grad.shape == x.shape
 
+    def test_weight_gradient_is_the_product_itself(self):
+        # x.T @ g is a fresh 8 MB array: it becomes W's gradient, not a copy
+        x = Tensor(rand((4, 1000), 63))
+        W = Tensor(rand((1000, 1000), 64), requires_grad=True)
+        out = matmul(x, W)
+        up = np.ones(out.shape)
+        tracemalloc.start()
+        try:
+            out.backward(up)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * W.data.nbytes
+        assert x.grad is None and W.grad.tobytes() == (x.data.T @ up).tobytes()
+
     def test_first_gradient_of_a_0d_leaf_is_an_array(self):
         # scale hands _acc a numpy scalar, not an array
         x = Tensor(3.0, requires_grad=True)

@@ -2,6 +2,7 @@
 
 import gc
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -121,6 +122,26 @@ class TestPretrain:
     def test_rejects_held_out_in_pretraining(self, tiny_world, tiny_datasets, tiny_mcfg):
         with pytest.raises(SubjectLeakError):
             pretrain(tiny_world, dict(tiny_datasets), FAST, tiny_mcfg)
+
+    def test_one_row_batch_is_refused_before_a_model_is_built(
+            self, tiny_world, tiny_datasets, tiny_mcfg, monkeypatch):
+        # one subject at one sample per subject gives one-row batches, and
+        # a contrastive loss needs two rows
+        built = []
+        real = train_mod._fresh_model
+        monkeypatch.setattr(train_mod, "_fresh_model",
+                            lambda *a: built.append(1) or real(*a))
+        one = {"s0": tiny_datasets["s0"]}
+        cfg = replace(FAST, samples_per_subject_per_batch=1)
+        for flags in ({}, {"use_retrieval": False}, {"use_lowlevel": False}):
+            with pytest.raises(ConfigError, match=r"^a pretraining batch of 1 subject\(s\) "
+                                                  r"x 1 sample\(s\) per subject has 1 row;"):
+                pretrain(tiny_world, one, replace(cfg, **flags), tiny_mcfg)
+        assert not built
+        # the prior alone trains on one row
+        pretrain(tiny_world, one, replace(cfg, epochs=1, use_retrieval=False,
+                                          use_lowlevel=False), tiny_mcfg)
+        assert built
 
     def test_log_recomposition_exact(self, tiny_world, tiny_datasets, tiny_mcfg):
         pre = {sid: ds for sid, ds in tiny_datasets.items() if sid != "s3"}
@@ -367,6 +388,37 @@ class TestMemory:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_trained_models_hold_no_gradients(self, tiny_world, tiny_datasets, tiny_mcfg):
+        pre = {sid: ds for sid, ds in tiny_datasets.items() if sid != "s3"}
+        mp, _ = pretrain(tiny_world, pre, FAST, tiny_mcfg)
+        models = {"pretrain": mp}
+        for ridge_only in (False, True):
+            cfg = replace(FAST, ridge_only_finetune=ridge_only)
+            models[f"finetune ridge_only={ridge_only}"], _ = finetune(
+                mp, tiny_world, tiny_datasets["s3"], 1, cfg)
+        models["scratch"], _ = train_from_scratch(tiny_world, tiny_datasets["s3"], 1,
+                                                  FAST, tiny_mcfg)
+        enc_b = secondary_token_encoder(tiny_world, tiny_mcfg.m_tokens,
+                                        tiny_mcfg.d_token_b, seed=9)
+        train_converter(models["scratch"], tiny_world, enc_b, tiny_world.images[:32],
+                        epochs=1, seed=4)
+        for name, m in models.items():
+            assert [k for k, p in m.params.items() if p.grad is not None] == [], name
+
+    def test_trained_model_holds_little_beyond_its_weights(self, tiny_world,
+                                                          tiny_datasets, tiny_mcfg):
+        # weights, gradients and both moments live during training; only the
+        # weights outlive it (stale gradients alone would add one more copy)
+        tracemalloc.start()
+        try:
+            mp, log = train_from_scratch(tiny_world, tiny_datasets["s3"], 1, FAST,
+                                         tiny_mcfg)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        weights = sum(p.data.nbytes for p in mp.params.values())
+        assert held < 1.5 * weights
 
     def test_prior_sample_peak_below_prior_weights(self, tiny_world, tiny_mcfg):
         mp = init_model(tiny_world.config, tiny_mcfg, {"a": 10}, seed=1)
