@@ -111,10 +111,7 @@ def _materialize(raw: dict[str, str]) -> RunConfig:
     world.validate()
     model.validate()
     train.validate()
-    ev.validate()
-    if ev.pool_size > world.n_shared:
-        raise ConfigError(f"eval.pool_size = {ev.pool_size} exceeds the shared "
-                          f"test set size world.n_shared = {world.n_shared}")
+    ev.validate(world.n_shared)
 
     command = str(values.get("command", ""))
     if command and command not in COMMANDS:

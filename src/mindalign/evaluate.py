@@ -48,11 +48,11 @@ class EvalConfig:
     seed: int = 0
     include_brain_corr: bool = False
 
-    def validate(self, n_test: int | None = None) -> None:
+    def validate(self, n_test: int) -> None:
         if self.pool_size < 2 or self.repetitions < 1:
             raise ConfigError("pool_size must be >= 2 and repetitions >= 1")
-        if n_test is not None and self.pool_size > n_test:
-            raise ConfigError(f"pool_size {self.pool_size} exceeds test set "
+        if self.pool_size > n_test:
+            raise ConfigError(f"eval.pool_size = {self.pool_size} exceeds the test set "
                               f"size {n_test}")
 
 
@@ -99,7 +99,17 @@ def _gaussian_window(size: int, sigma: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _window_sums(views: np.ndarray, w_col: np.ndarray) -> np.ndarray:
+# SSIM's constants: Wang et al.'s sigma 1.5 gaussian on an 8x8 window, which
+# 8x8 images still fit, and C1 = (0.01 L)^2, C2 = (0.03 L)^2 for pixels of
+# range L = 1; the window is built once, as a [k*k, 1] column
+_SSIM_WINDOW = 8
+_SSIM_W_COL = _gaussian_window(_SSIM_WINDOW, 1.5).reshape(-1, 1)
+_SSIM_C1, _SSIM_C2 = 0.01 ** 2, 0.03 ** 2
+# the low-level two-way features are 4x4 box averages, a fixed low-pass
+_BLUR_K = 4
+
+
+def _window_sums(views: np.ndarray) -> np.ndarray:
     """Gaussian-weighted sum of every window in an [N, C, oh, ow, k, k] stack.
 
     One BLAS call per image and channel, on the operands ``np.tensordot``
@@ -111,13 +121,11 @@ def _window_sums(views: np.ndarray, w_col: np.ndarray) -> np.ndarray:
     out = np.empty((n, ch, oh, ow))
     for i in range(n):
         for c in range(ch):
-            out[i, c] = np.dot(views[i, c].reshape(oh * ow, -1), w_col).reshape(oh, ow)
+            out[i, c] = np.dot(views[i, c].reshape(oh * ow, -1), _SSIM_W_COL).reshape(oh, ow)
     return out
 
 
-def ssim(recon: np.ndarray, truth: np.ndarray, window: int = 8,
-         sigma: float = 1.5, c1: float = 0.01 ** 2,
-         c2: float = 0.03 ** 2) -> float | np.ndarray:
+def ssim(recon: np.ndarray, truth: np.ndarray) -> float | np.ndarray:
     """Structural similarity (Wang et al., 2004) with a gaussian window,
     averaged over all valid window positions and channels.
 
@@ -132,32 +140,33 @@ def ssim(recon: np.ndarray, truth: np.ndarray, window: int = 8,
     single = a.ndim == 3
     if single:
         a, b = a[None], b[None]
-    if a.shape[1] < window or a.shape[2] < window:
-        raise DataError(f"image smaller than the {window}x{window} ssim window")
-    w_col = _gaussian_window(window, sigma).reshape(-1, 1)
+    k = _SSIM_WINDOW
+    if a.shape[1] < k or a.shape[2] < k:
+        raise DataError(f"image smaller than the {k}x{k} ssim window")
     # [N, C, oh, ow, k, k]: each image and channel's windows, strided as one
     # image's sliding_window_view
-    va = sliding_window_view(a, (window, window), axis=(1, 2)).transpose(0, 3, 1, 2, 4, 5)
-    vb = sliding_window_view(b, (window, window), axis=(1, 2)).transpose(0, 3, 1, 2, 4, 5)
-    mu_x = _window_sums(va, w_col)
-    mu_y = _window_sums(vb, w_col)
+    va = sliding_window_view(a, (k, k), axis=(1, 2)).transpose(0, 3, 1, 2, 4, 5)
+    vb = sliding_window_view(b, (k, k), axis=(1, 2)).transpose(0, 3, 1, 2, 4, 5)
+    mu_x = _window_sums(va)
+    mu_y = _window_sums(vb)
     # in C order each image and channel's products are one contiguous
     # [oh*ow, k*k] block, as one image's were
     dx = np.subtract(va, mu_x[..., None, None], order="C")
     dy = np.subtract(vb, mu_y[..., None, None], order="C")
-    var_x = _window_sums(dx * dx, w_col)
-    var_y = _window_sums(dy * dy, w_col)
-    cov = _window_sums(dx * dy, w_col)
-    s = ((2 * mu_x * mu_y + c1) * (2 * cov + c2)) / (
-        (mu_x ** 2 + mu_y ** 2 + c1) * (var_x + var_y + c2))
+    var_x = _window_sums(dx * dx)
+    var_y = _window_sums(dy * dy)
+    cov = _window_sums(dx * dy)
+    s = ((2 * mu_x * mu_y + _SSIM_C1) * (2 * cov + _SSIM_C2)) / (
+        (mu_x ** 2 + mu_y ** 2 + _SSIM_C1) * (var_x + var_y + _SSIM_C2))
     # per image, each channel's map is summed and the channel sums added in order
     scores = np.array([sum(s_c.sum() for s_c in s_i) / s_i.size for s_i in s])
     return float(scores[0]) if single else scores
 
 
-def box_blur(image: np.ndarray, k: int = 4) -> np.ndarray:
-    """Valid-mode k x k box average per channel of one [H, W, C] image or an
-    [N, H, W, C] stack."""
+def box_blur(image: np.ndarray) -> np.ndarray:
+    """Valid-mode `_BLUR_K`-square box average per channel of one [H, W, C]
+    image or an [N, H, W, C] stack."""
+    k = _BLUR_K
     a = np.asarray(image, dtype=np.float64)
     if a.ndim not in (3, 4) or a.shape[-3] < k or a.shape[-2] < k:
         raise DataError(f"box_blur expects [H, W, C] images of at least {k}x{k}")
@@ -173,8 +182,7 @@ def box_blur(image: np.ndarray, k: int = 4) -> np.ndarray:
 
 
 def retrieval_eval(retr_embeddings: np.ndarray, target_embeddings: np.ndarray,
-                   pool_size: int = 50, repetitions: int = 30,
-                   seed: int = 0) -> dict[str, float]:
+                   pool_size: int, repetitions: int, seed: int = 0) -> dict[str, float]:
     """Top-1 cosine retrieval in both directions over random candidate pools.
 
     For every test item and repetition, the item competes against
@@ -249,6 +257,11 @@ def two_way_identification(recons: np.ndarray, truths: np.ndarray,
     return float((wins / (n - 1)).mean())
 
 
+# the ridge strengths GCV picks from, 1e-6 to 1e4 in half decades: wide
+# enough for unit-range pixels and z-scored voxels
+_GCV_LAMBDAS = np.logspace(-6, 4, 21)
+
+
 @dataclass
 class EncodingModel:
     """Linear map images -> voxels used to score reconstructions.
@@ -265,23 +278,20 @@ class EncodingModel:
 
     @classmethod
     def oracle(cls, world: WorldSpec, subject_id: str) -> "EncodingModel":
-        fm = world.subjects.get(subject_id)
-        if fm is None:
+        forward = world.subjects.get(subject_id)
+        if forward is None:
             raise DataError(f"unknown subject {subject_id!r}")
-        return cls(weights=fm.matrix.copy(), intercept=np.zeros(fm.n_voxels),
+        return cls(weights=forward.copy(), intercept=np.zeros(forward.shape[0]),
                    regions=world.regions[subject_id],
                    reg_strength={r: 0.0 for r in world.regions[subject_id]})
 
     @classmethod
     def fit(cls, images: np.ndarray, voxels: np.ndarray,
-            regions: dict[str, np.ndarray],
-            lambdas: np.ndarray | None = None) -> "EncodingModel":
+            regions: dict[str, np.ndarray]) -> "EncodingModel":
         X = np.asarray(images, dtype=np.float64).reshape(images.shape[0], -1)
         Y = np.asarray(voxels, dtype=np.float64)
         if X.shape[0] != Y.shape[0]:
             raise DataError("images and voxels must pair one-to-one")
-        if lambdas is None:
-            lambdas = np.logspace(-6, 4, 21)
         x_mean = X.mean(axis=0)
         Xc = X - x_mean
         U, s, Vt = np.linalg.svd(Xc, full_matrices=False)
@@ -299,7 +309,7 @@ class EncodingModel:
             Yc = Yr - y_mean
             UtY = U.T @ Yc
             best_lam, best_gcv = None, np.inf
-            for lam in lambdas:
+            for lam in _GCV_LAMBDAS:
                 shrink = s * s / (s * s + lam)
                 edf = shrink.sum()
                 if edf > max_edf:
@@ -309,7 +319,7 @@ class EncodingModel:
                 if gcv < best_gcv:
                     best_gcv, best_lam = gcv, float(lam)
             if best_lam is None:
-                best_lam = float(lambdas[-1])
+                best_lam = float(_GCV_LAMBDAS[-1])
             coef = Vt.T @ ((s / (s * s + best_lam))[:, None] * UtY)
             weights[idx] = coef.T
             intercept[idx] = y_mean - x_mean @ coef
@@ -539,6 +549,8 @@ def run_scaling(world: WorldSpec, datasets: dict[str, SubjectDataset],
     if arms and not session_grid:
         raise ConfigError("session grid is empty")
     target = datasets[held_out]
+    for k in session_grid if arms else ():
+        target.check_sessions(k)  # before anything trains
     n_sessions = int(target.session_index.max()) + 1
     # the normalization anchor is the full-data pretrained model, so the
     # pretraining pass runs regardless of which arms were requested

@@ -85,19 +85,8 @@ class ModelConfig:
             raise ConfigError("ridge_dropout must be in [0, 1)")
 
 
-@dataclass
-class DiffusionSchedule:
-    kind: str
-    t_steps: int
-    alpha_bar: np.ndarray
-
-    def __post_init__(self):
-        ab = self.alpha_bar
-        if np.any(ab <= 0.0) or np.any(ab > 1.0) or np.any(np.diff(ab) >= 0):
-            raise ConfigError("alpha_bar must be strictly decreasing in (0, 1]")
-
-
-def make_schedule(kind: str, t_steps: int) -> DiffusionSchedule:
+def make_schedule(kind: str, t_steps: int) -> np.ndarray:
+    """The diffusion schedule: ``alpha_bar``, strictly decreasing in (0, 1]."""
     if t_steps < 1:
         raise ConfigError("t_steps must be >= 1")
     if kind == "cosine":
@@ -110,17 +99,24 @@ def make_schedule(kind: str, t_steps: int) -> DiffusionSchedule:
         alpha_bar = np.cumprod(1.0 - betas)
     else:
         raise ConfigError(f"unknown schedule kind {kind!r}")
-    return DiffusionSchedule(kind, t_steps, np.clip(alpha_bar, 1e-12, 1.0))
+    alpha_bar = np.clip(alpha_bar, 1e-12, 1.0)
+    if np.any(np.diff(alpha_bar) >= 0):
+        raise ConfigError("alpha_bar must be strictly decreasing in (0, 1]")
+    return alpha_bar
 
 
 @dataclass
 class ModelParams:
     world_cfg: WorldConfig
     mcfg: ModelConfig
-    subjects: dict[str, int]           # subject id -> voxel count
     params: dict[str, Tensor]
-    schedule: DiffusionSchedule
+    alpha_bar: np.ndarray              # the diffusion schedule, see `make_schedule`
     meta: dict[str, str] = field(default_factory=dict)
+
+    @property
+    def subjects(self) -> dict[str, int]:
+        """Subject id -> voxel count: the subjects whose ridge layers it holds."""
+        return _ridge_subjects({name: p.shape for name, p in self.params.items()}, axis=0)
 
     @property
     def token_dim(self) -> int:
@@ -199,6 +195,12 @@ def parameter_shapes(world_cfg: WorldConfig, mcfg: ModelConfig,
     return shapes
 
 
+def _ridge_subjects(shapes: dict[str, tuple[int, ...]], axis: int) -> dict[str, int]:
+    """Subject id -> voxel count off ``ridge.<sid>.W``: axis 0 in memory, 1 in files."""
+    return {name[len("ridge."):-len(".W")]: shape[axis] for name, shape in shapes.items()
+            if name.startswith("ridge.") and name.endswith(".W") and len(shape) == 2}
+
+
 def _ridge_shapes(sid: str, n_vox: int, mcfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     shapes = {f"ridge.{sid}.W": (n_vox, mcfg.h), f"ridge.{sid}.b": (mcfg.h,)}
     if mcfg.mlp_ridge:
@@ -255,8 +257,8 @@ def init_model(world_cfg: WorldConfig, mcfg: ModelConfig,
         params.update(_draw(_ridge_shapes(sid, n_vox, mcfg), seeds.rng(seed, "ridge", sid)))
     params.update(_draw({k: v for k, v in shapes.items() if k not in params},
                         seeds.rng(seed, "shared")))
-    return ModelParams(world_cfg=world_cfg, mcfg=mcfg, subjects=dict(subjects),
-                       params=params, schedule=make_schedule(mcfg.schedule, mcfg.t_steps))
+    return ModelParams(world_cfg=world_cfg, mcfg=mcfg, params=params,
+                       alpha_bar=make_schedule(mcfg.schedule, mcfg.t_steps))
 
 
 def add_subject(mp: ModelParams, sid: str, n_vox: int, seed: int) -> None:
@@ -264,7 +266,6 @@ def add_subject(mp: ModelParams, sid: str, n_vox: int, seed: int) -> None:
     if sid in mp.subjects:
         raise DataError(f"subject {sid} already present")
     mp.params.update(_draw(_ridge_shapes(sid, n_vox, mp.mcfg), seeds.rng(seed, "ridge", sid)))
-    mp.subjects[sid] = n_vox
 
 
 def expected_parameter_count(world_cfg: WorldConfig, mcfg: ModelConfig,
@@ -314,14 +315,15 @@ def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
 def ridge_forward(mp: ModelParams, subject_id: str, voxels,
                   dropout_mask: np.ndarray | None = None) -> Tensor:
     """Per-subject linear map into the shared latent. [B, V] -> [B, h]."""
-    if subject_id not in mp.subjects:
+    p = mp.params
+    W = p.get(f"ridge.{subject_id}.W")
+    if W is None:
         raise DataError(f"unknown subject {subject_id!r}")
     x = Tensor.lift(voxels)
-    if x.ndim != 2 or x.shape[1] != mp.subjects[subject_id]:
+    if x.ndim != 2 or x.shape[1] != W.shape[0]:
         raise ShapeError(f"voxels shape {x.shape} does not match subject "
-                         f"{subject_id} ({mp.subjects[subject_id]} voxels)")
-    p = mp.params
-    out = linear(x, p[f"ridge.{subject_id}.W"], p[f"ridge.{subject_id}.b"])
+                         f"{subject_id} ({W.shape[0]} voxels)")
+    out = linear(x, W, p[f"ridge.{subject_id}.b"])
     if mp.mcfg.mlp_ridge:
         out = gelu(out)
         if dropout_mask is not None:
@@ -382,15 +384,14 @@ def denoise(mp: ModelParams, x_t, t, cond_tokens) -> Tensor:
 def prior_train_step(mp: ModelParams, backbone_tokens, target_tokens, t,
                      noise_seed: int) -> Tensor:
     """Denoising loss: noise the target to level t, predict it back, MSE."""
-    sched = mp.schedule
     target = _flat_tokens(mp, target_tokens)
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.int64))
     if t_arr.ndim == 1 and t_arr.shape[0] == 1:
         t_arr = np.full(target.shape[0], t_arr[0], dtype=np.int64)
-    if np.any(t_arr < 0) or np.any(t_arr >= sched.t_steps):
-        raise DataError(f"t out of range [0, {sched.t_steps})")
+    if np.any(t_arr < 0) or np.any(t_arr >= mp.mcfg.t_steps):
+        raise DataError(f"t out of range [0, {mp.mcfg.t_steps})")
     eps = seeds.rng(noise_seed, "prior-noise").normal(size=target.shape)
-    ab = sched.alpha_bar[t_arr][:, None]
+    ab = mp.alpha_bar[t_arr][:, None]
     x_t = Tensor(np.sqrt(ab) * target.data + np.sqrt(1.0 - ab) * eps)
     pred = denoise(mp, x_t, t_arr, backbone_tokens)
     return mse_loss(pred, target.detach())
@@ -403,14 +404,13 @@ def prior_sample(mp: ModelParams, backbone_tokens, seed: int) -> np.ndarray:
     posterior for that prediction produces the next (less noisy) state. With
     a single step this degenerates to one denoiser call on pure noise.
     """
-    sched = mp.schedule
     cond = _flat_tokens(mp, backbone_tokens)
     cemb = Tensor(_cond_embed(mp, cond).data)
     n = cond.shape[0]
     rng = seeds.rng(seed, "prior-sample")
     x = rng.normal(size=(n, mp.token_dim))
-    ab = sched.alpha_bar
-    for t in range(sched.t_steps - 1, 0, -1):
+    ab = mp.alpha_bar
+    for t in range(mp.mcfg.t_steps - 1, 0, -1):
         t_arr = np.full(n, t, dtype=np.int64)
         x0 = _denoise_core(mp, Tensor(x), t_arr, cemb).data
         ab_t, ab_prev = ab[t], ab[t - 1]
@@ -448,7 +448,7 @@ def retrieval_project(mp: ModelParams, tokens, return_degenerate: bool = False):
                  p["retrieval.fc2.W"], p["retrieval.fc2.b"])
     norms = np.linalg.norm(raw.data, axis=1)
     degenerate = norms < 1e-12
-    emb = l2_normalize(raw, axis=-1, eps=1e-12)
+    emb = l2_normalize(raw)
     if degenerate.any():
         keep = Tensor((~degenerate).astype(np.float64)[:, None])
         fallback = np.zeros_like(raw.data)
@@ -537,8 +537,7 @@ def load_checkpoint(path: Path) -> ModelParams:
     Subjects and their voxel counts come from the ``ridge.<sid>.W`` arrays.
     """
     items, arrays = read_arrays(path)
-    subjects = {name[len("ridge."):-len(".W")]: arr.shape[1] for name, arr in arrays.items()
-                if name.startswith("ridge.") and name.endswith(".W") and arr.ndim == 2}
+    subjects = _ridge_subjects({name: arr.shape for name, arr in arrays.items()}, axis=1)
     try:
         world_cfg, world_seed = world_config_from_items(items)
         mcfg = parse_fields(ModelConfig, items, "model")
@@ -550,12 +549,12 @@ def load_checkpoint(path: Path) -> ModelParams:
             raise DataError(f"{path}: parameter count differs from what its config builds")
         check_layout(path, arrays, {name: ("<f4", _file_shape(name, shape)) for name, shape
                                     in parameter_shapes(world_cfg, mcfg, subjects).items()})
-        schedule = make_schedule(mcfg.schedule, mcfg.t_steps)
+        alpha_bar = make_schedule(mcfg.schedule, mcfg.t_steps)
     except ConfigError as exc:
         raise DataError(f"{path}: {exc}") from None
     meta = {k[len("meta."):]: v for k, v in items.items() if k.startswith("meta.")}
     meta["world_seed"] = str(world_seed)
-    return ModelParams(world_cfg=world_cfg, mcfg=mcfg, subjects=subjects, schedule=schedule,
+    return ModelParams(world_cfg=world_cfg, mcfg=mcfg, alpha_bar=alpha_bar,
                        params={name: Tensor(np.ascontiguousarray(_file_layout(name, arr),
                                                                  dtype=np.float64),
                                             requires_grad=not is_frozen_parameter(name))

@@ -13,6 +13,9 @@ from .tensor import ShapeError, Tensor
 # scratch blocks (256 KB each, 1.5 MB in all) stay in a 2 MB L2 cache between
 # the ufunc passes
 _BLOCK = 32768
+# Adam's moment decays and denominator floor, the defaults of Kingma and Ba
+# (2015) that MindEye2's AdamW keeps
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 class AdamW:
@@ -33,14 +36,10 @@ class AdamW:
     anything changes.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 3e-4,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0,
+    def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 0.0,
                  decay_mask: dict[str, bool] | None = None):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.decay_mask = decay_mask
         self.step_count = 0
@@ -71,9 +70,9 @@ class AdamW:
             work.append((name, p.data, g, decay))
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        b1, b2, lr, eps = _BETA1, _BETA2, self.lr, _EPS
+        bc1 = 1.0 - b1 ** t
+        bc2 = 1.0 - b2 ** t
         s1, s2 = self._scratch
         for name, data, g, decay in work:
             p = data.reshape(-1)
@@ -114,7 +113,7 @@ class AdamW:
 
 
 def warmup_cosine_lr(step: int, total_steps: int, base_lr: float,
-                     warmup_frac: float = 0.05) -> float:
+                     warmup_frac: float) -> float:
     """Linear warmup over the first `warmup_frac` of steps, then cosine decay."""
     warmup = max(1, int(math.ceil(warmup_frac * total_steps)))
     if step < warmup:

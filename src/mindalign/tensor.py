@@ -55,6 +55,10 @@ __all__ = [
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# layernorm's variance floor, the common 1e-5; and the norm below which
+# l2_normalize stops dividing, far under any row norm that carries signal
+_LAYERNORM_EPS = 1e-5
+_NORM_EPS = 1e-12
 
 
 class ShapeError(ValueError):
@@ -395,7 +399,7 @@ def gelu(a: Tensor) -> Tensor:
     return out
 
 
-def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Layer normalization over the last axis with learnable gain/bias."""
     x, gain, bias = Tensor.lift(x), Tensor.lift(gain), Tensor.lift(bias)
     if gain.shape != (x.shape[-1],) or bias.shape != (x.shape[-1],):
@@ -408,7 +412,7 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
         var = (xc * xc).mean(axis=-1, keepdims=True)
     if not np.isfinite(var).all():
         raise NonFiniteError("non-finite value in layernorm variance")
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LAYERNORM_EPS)
     xhat = xc * inv
     out = Tensor._from_op("layernorm", gain.data * xhat + bias.data, (x, gain, bias))
 
@@ -427,17 +431,17 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
     return out
 
 
-def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
-    """Rows scaled by max(L2 norm, eps); exactly unit whenever norm >= eps."""
+def l2_normalize(x: Tensor) -> Tensor:
+    """Last-axis rows scaled by max(L2 norm, `_NORM_EPS`); exactly unit above it."""
     x = Tensor.lift(x)
-    r = np.sqrt((x.data * x.data).sum(axis=axis, keepdims=True))
-    d = np.maximum(r, eps)
+    r = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True))
+    d = np.maximum(r, _NORM_EPS)
     out = Tensor._from_op("l2_normalize", x.data / d, (x,))
 
     def _bwd(g):
-        inner = (g * x.data).sum(axis=axis, keepdims=True)
+        inner = (g * x.data).sum(axis=-1, keepdims=True)
         # below the clamp the map is linear in x, so the norm term vanishes
-        x._acc(g / d - x.data * (inner * (r > eps) / (d * d * d)))
+        x._acc(g / d - x.data * (inner * (r > _NORM_EPS) / (d * d * d)))
 
     out._backward_fn = _bwd
     return out
@@ -486,9 +490,8 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     return out
 
 
-def cross_entropy_soft(logits: Tensor, soft_targets: np.ndarray | Tensor,
-                       axis: int = -1) -> Tensor:
-    """Mean soft-target cross-entropy: mean over rows of -sum t * log_softmax(z).
+def cross_entropy_soft(logits: Tensor, soft_targets: np.ndarray | Tensor) -> Tensor:
+    """Mean soft-target cross-entropy over last-axis rows: mean of -sum t * log_softmax(z).
 
     Soft targets are treated as constants (no gradient flows into them); row
     masses need not sum to one.
@@ -497,15 +500,15 @@ def cross_entropy_soft(logits: Tensor, soft_targets: np.ndarray | Tensor,
     t = soft_targets.data if isinstance(soft_targets, Tensor) else np.asarray(soft_targets, dtype=np.float64)
     if t.shape != logits.shape:
         raise ShapeError(f"targets shape {t.shape} != logits shape {logits.shape}")
-    z = logits.data - logits.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
+    z = logits.data - logits.data.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     logq = z - lse
-    n_rows = logits.size // logits.shape[axis]
+    n_rows = logits.size // logits.shape[-1]
     out = Tensor._from_op("cross_entropy_soft", -(t * logq).sum() / n_rows, (logits,))
 
     def _bwd(g):
         q = np.exp(logq)
-        mass = t.sum(axis=axis, keepdims=True)
+        mass = t.sum(axis=-1, keepdims=True)
         logits._acc(g * (q * mass - t) / n_rows)
 
     out._backward_fn = _bwd

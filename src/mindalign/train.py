@@ -61,8 +61,8 @@ class TrainConfig:
     lr: float = 3e-4
     warmup_frac: float = 0.05
     ridge_weight_decay: float = 1e-2
-    alpha1: float = 0.033             # contrastive loss weight
-    alpha2: float = 0.016             # low-level loss weight
+    alpha1: float = LossWeights.alpha1  # contrastive loss weight
+    alpha2: float = LossWeights.alpha2  # low-level loss weight
     tau_bimixco: float = 0.125
     tau_softclip: float = 0.25
     mixco_beta_a: float = 0.15        # MixCo's Beta(a, b) mixing coefficients
@@ -209,7 +209,7 @@ def _batch_losses(world, datasets, mp, cfg, phase, batch_rows, master, it):
     prior_l = zero
     if cfg.use_prior:
         t_draw = seeds.rng(master, "prior-t", it).integers(
-            0, mp.schedule.t_steps, size=imgs.shape[0])
+            0, mp.mcfg.t_steps, size=imgs.shape[0])
         prior_l = prior_train_step(mp, tokens, tok_true, t_draw,
                                    noise_seed=seeds.derive(master, "prior-noise", it))
 
@@ -329,10 +329,8 @@ def finetune(checkpoint: ModelParams, world: WorldSpec, dataset: SubjectDataset,
             k.startswith(ridge) or not cfg.ridge_only_finetune))
         for k, v in checkpoint.params.items()
         if k.startswith(ridge) or not k.startswith("ridge.")}
-    mp = ModelParams(world_cfg=checkpoint.world_cfg, mcfg=checkpoint.mcfg,
-                     subjects={s: n for s, n in checkpoint.subjects.items() if s == sid},
-                     params=params, schedule=checkpoint.schedule,
-                     meta=dict(checkpoint.meta))
+    mp = ModelParams(world_cfg=checkpoint.world_cfg, mcfg=checkpoint.mcfg, params=params,
+                     alpha_bar=checkpoint.alpha_bar, meta=dict(checkpoint.meta))
     if sid not in mp.subjects:
         add_subject(mp, sid, dataset.n_voxels, seed=seeds.derive(cfg.seed, "ft-ridge"))
     return _fit_subject(mp, world, dataset, k_sessions, cfg)
@@ -372,9 +370,10 @@ def ablation_run(world: WorldSpec, dataset: SubjectDataset, k_sessions: int,
     """Train and evaluate one model per component combination, shared seed."""
     from .evaluate import evaluate_model  # breaks the module cycle
 
+    # a bad entry is refused before the first variant trains
+    vcfgs = [(variant, variant_config(cfg, variant)) for variant in variants]
     reports = {}
-    for variant in variants:
-        vcfg = variant_config(cfg, variant)
+    for variant, vcfg in vcfgs:
         mp, _ = train_from_scratch(world, dataset, k_sessions, vcfg, mcfg)
         reports[variant] = evaluate_model(mp, world, dataset, eval_cfg,
                                           include_reconstruction=vcfg.use_prior)

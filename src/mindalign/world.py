@@ -91,17 +91,6 @@ class WorldConfig:
 
 
 @dataclass
-class SubjectForwardModel:
-    subject_id: str
-    matrix: np.ndarray  # [n_voxels, pixel_dim], unit-norm rows
-    noise_sigma: float
-
-    @property
-    def n_voxels(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass
 class WorldSpec:
     config: WorldConfig
     seed: int
@@ -110,11 +99,12 @@ class WorldSpec:
     teacher: np.ndarray        # [d_teacher, pixel_dim]
     vae_map: np.ndarray        # [vae_dim, pixel_dim]
     vae_pinv: np.ndarray       # [pixel_dim, vae_dim]
-    subjects: dict[str, SubjectForwardModel]
+    # subject -> forward matrix [n_voxels, pixel_dim], unit-norm rows
+    subjects: dict[str, np.ndarray]
     regions: dict[str, dict[str, np.ndarray]]  # subject -> region -> voxel idx
-    images: np.ndarray         # [n_images, H, W, C]
-    shared_image_ids: np.ndarray
-    train_blocks: dict[str, np.ndarray]  # subject -> unique train image ids
+    # [n_images, H, W, C]: the n_shared test images, then a block of n_sessions *
+    # trials_per_session training images per subject, in subject_ids order
+    images: np.ndarray
 
     @property
     def subject_ids(self) -> list[str]:
@@ -155,11 +145,15 @@ class SubjectDataset:
     def shared_voxels(self) -> np.ndarray:
         return self.voxels[self.is_shared]
 
-    def restrict_sessions(self, k: int) -> "SubjectDataset":
-        """First k sessions of training trials; shared test kept whole."""
+    def check_sessions(self, k: int) -> None:
+        """Raise `DataError` unless the training split has k sessions or more."""
         n_sessions = int(self.session_index.max()) + 1
         if k < 1 or k > n_sessions:
             raise DataError(f"k={k} outside available sessions [1, {n_sessions}]")
+
+    def restrict_sessions(self, k: int) -> "SubjectDataset":
+        """First k sessions of training trials; shared test kept whole."""
+        self.check_sessions(k)
         keep = self.is_shared | (self.session_index < k)
         return SubjectDataset(
             subject_id=self.subject_id,
@@ -226,7 +220,7 @@ def generate_world(config: WorldConfig, seed: int,
     vae_map = seeds.rng(seed, "vae").normal(size=(config.vae_dim, px)) / np.sqrt(px)
     vae_pinv = np.linalg.pinv(vae_map)
 
-    subjects: dict[str, SubjectForwardModel] = {}
+    subjects: dict[str, np.ndarray] = {}
     regions: dict[str, dict[str, np.ndarray]] = {}
     candidates = np.arange(config.voxels_min, config.voxels_max + 1)
     if candidates.size < config.n_subjects:
@@ -238,23 +232,14 @@ def generate_world(config: WorldConfig, seed: int,
         n_vox = int(counts[i])
         A = seeds.rng(seed, "forward", sid).normal(size=(n_vox, px))
         A /= np.linalg.norm(A, axis=1, keepdims=True)
-        subjects[sid] = SubjectForwardModel(sid, A, config.noise_sigma)
+        subjects[sid] = A
         regions[sid] = _partition_regions(n_vox)
 
     images = (_smooth_images(config.n_images, config, seeds.rng(seed, "images"))
               if images is None else np.asarray(images, dtype=np.float64))
-
-    shared_ids = np.arange(config.n_shared, dtype=np.int64)
-    block = config.n_sessions * config.trials_per_session
-    train_blocks = {
-        f"s{i}": np.arange(config.n_shared + i * block,
-                           config.n_shared + (i + 1) * block, dtype=np.int64)
-        for i in range(config.n_subjects)
-    }
     return WorldSpec(config=config, seed=seed, encoder=encoder, decoder=decoder,
                      teacher=teacher, vae_map=vae_map, vae_pinv=vae_pinv,
-                     subjects=subjects, regions=regions, images=images,
-                     shared_image_ids=shared_ids, train_blocks=train_blocks)
+                     subjects=subjects, regions=regions, images=images)
 
 
 def _partition_regions(n_voxels: int) -> dict[str, np.ndarray]:
@@ -266,30 +251,29 @@ def _partition_regions(n_voxels: int) -> dict[str, np.ndarray]:
             for name, lo, hi in zip(REGION_NAMES, bounds[:-1], bounds[1:])}
 
 
-def _subject(world: WorldSpec, subject_id: str) -> SubjectForwardModel:
-    try:
-        return world.subjects[subject_id]
-    except KeyError:
-        raise DataError(f"unknown subject {subject_id!r}") from None
-
-
 def generate_dataset(world: WorldSpec, subject_id: str, n_sessions: int | None = None,
                      trials_per_session: int | None = None, seed: int = 0) -> SubjectDataset:
     """Simulate one subject's trials: unique train images plus the shared test set."""
     cfg = world.config
-    fm = _subject(world, subject_id)
+    forward = world.subjects.get(subject_id)
+    if forward is None:
+        raise DataError(f"unknown subject {subject_id!r}")
     n_sessions = cfg.n_sessions if n_sessions is None else n_sessions
     trials_per_session = (cfg.trials_per_session if trials_per_session is None
                           else trials_per_session)
     if n_sessions < 1:
         raise DataError("n_sessions must be >= 1")
+    if trials_per_session < 1:
+        raise DataError("trials_per_session must be >= 1")
     n_train = n_sessions * trials_per_session
-    block = world.train_blocks[subject_id]
-    if n_train > block.shape[0]:
+    block = cfg.n_sessions * cfg.trials_per_session
+    if n_train > block:
         raise DataError(f"requested {n_train} unique train images; world pool "
-                        f"allocates {block.shape[0]} to {subject_id}")
-    train_ids = block[:n_train]
-    image_ids = np.concatenate([train_ids, world.shared_image_ids])
+                        f"allocates {block} to {subject_id}")
+    # the subject's block of the image pool (see `WorldSpec.images`)
+    start = cfg.n_shared + world.subject_ids.index(subject_id) * block
+    image_ids = np.concatenate([np.arange(start, start + n_train, dtype=np.int64),
+                                np.arange(cfg.n_shared, dtype=np.int64)])
     session_index = np.concatenate([
         np.repeat(np.arange(n_sessions, dtype=np.int64), trials_per_session),
         np.full(cfg.n_shared, -1, dtype=np.int64),
@@ -298,9 +282,9 @@ def generate_dataset(world: WorldSpec, subject_id: str, n_sessions: int | None =
         np.zeros(n_train, dtype=bool), np.ones(cfg.n_shared, dtype=bool)])
 
     pixels = world.images[image_ids].reshape(len(image_ids), -1)
-    clean = pixels @ fm.matrix.T
+    clean = pixels @ forward.T
     noise = seeds.rng(seed, "dataset-noise", subject_id).normal(size=clean.shape)
-    voxels = clean + fm.noise_sigma * noise
+    voxels = clean + cfg.noise_sigma * noise
     return SubjectDataset(subject_id=subject_id, voxels=voxels, image_ids=image_ids,
                           session_index=session_index, is_shared=is_shared)
 
@@ -456,14 +440,24 @@ def load_dataset_dir(data_dir: Path, config: WorldConfig
     sids = [name[len("voxels."):] for name in arrays if name.startswith("voxels.")]
     for sid in sids:
         n = arrays[f"voxels.{sid}"].shape[:1]
-        n_vox = world.subjects[sid].n_voxels if sid in world.subjects else -1
+        n_vox = world.subjects[sid].shape[0] if sid in world.subjects else -1
         layout.update({f"voxels.{sid}": ("<f4", n + (n_vox,)), f"image_ids.{sid}": ("<i8", n),
                        f"session_index.{sid}": ("<i8", n), f"split.{sid}": ("|b1", n)})
     check_layout(path, arrays, layout)
     for sid in sids:
-        ids = arrays[f"image_ids.{sid}"]
+        ids, sessions = arrays[f"image_ids.{sid}"], arrays[f"session_index.{sid}"]
+        shared = arrays[f"split.{sid}"]
         if np.any((ids < 0) | (ids >= config.n_images)):
             raise DataError(f"{path}: {sid} has an image id outside [0, {config.n_images})")
+        # a shared test trial shows a shared image in session -1, a training
+        # trial a training image in a session of the world
+        if not (np.array_equal(shared, sessions == -1)
+                and np.array_equal(shared, ids < config.n_shared)):
+            raise DataError(f"{path}: {sid} has a trial whose split disagrees with its "
+                            "session index or image id")
+        if np.any((sessions[~shared] < 0) | (sessions[~shared] >= config.n_sessions)):
+            raise DataError(f"{path}: {sid} has a training session index outside "
+                            f"[0, {config.n_sessions})")
     return world, {sid: SubjectDataset(
         subject_id=sid, voxels=arrays[f"voxels.{sid}"].astype(np.float64),
         image_ids=arrays[f"image_ids.{sid}"], session_index=arrays[f"session_index.{sid}"],

@@ -200,6 +200,13 @@ MALFORMED = {
     "dataset truncated": lambda ck, ds: _rebytes(ds, lambda raw: raw[:len(raw) // 2]),
     "dataset image id out of range": lambda ck, ds: _edit(
         ds, lambda items, arrays: arrays["image_ids.s2"].__setitem__(0, 10 ** 6)),
+    # s2's trial 0 is a session-0 training trial, its last one a shared test trial
+    "dataset training trial shows a shared image": lambda ck, ds: _edit(
+        ds, lambda items, arrays: arrays["image_ids.s2"].__setitem__(0, 0)),
+    "dataset shared trial marked as training": lambda ck, ds: _edit(
+        ds, lambda items, arrays: arrays["split.s2"].__setitem__(-1, False)),
+    "dataset session index outside the world": lambda ck, ds: _edit(
+        ds, lambda items, arrays: arrays["session_index.s2"].__setitem__(0, 3)),
     "dataset missing a key": lambda ck, ds: _edit(
         ds, lambda items, arrays: items.pop("world.n_shared")),
     # a voxel range that alone would take 745 GiB to build: the stored block

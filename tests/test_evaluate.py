@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mindalign import evaluate as evaluate_mod
 from mindalign import seeds
 from mindalign.errors import ConfigError, DataError
 from mindalign.evaluate import (
@@ -21,10 +22,12 @@ from mindalign.evaluate import (
     random_baseline_report,
     reconstruct,
     retrieval_eval,
+    run_scaling,
     ssim,
     two_way_identification,
 )
 from mindalign.model import init_model
+from mindalign.train import TrainConfig
 from mindalign.world import WorldConfig, generate_dataset, generate_world, normalize
 
 from oracles import (
@@ -397,6 +400,22 @@ class TestScalingNormalization:
         res.anchor = res.baseline
         with pytest.raises(DataError):
             res.normalized("pretrained", 1, "pixcorr")
+
+    def test_bad_session_grid_refused_before_any_training(self, tiny_world, tiny_datasets,
+                                                          tiny_mcfg, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            raise RuntimeError("trained before the session grid was checked")
+
+        for name in ("pretrain", "finetune", "train_from_scratch"):
+            monkeypatch.setattr(evaluate_mod, name, counting)
+        with pytest.raises(DataError, match=r"k=9 outside available sessions \[1, 4\]"):
+            run_scaling(tiny_world, tiny_datasets, "s3", (1, 2, 9), ("pretrained", "scratch"),
+                        TrainConfig(held_out_subject="s3"), tiny_mcfg,
+                        EvalConfig(pool_size=16, repetitions=2))
+        assert calls == []
 
     def test_random_baseline_twoway_near_half(self, tiny_world, tiny_datasets):
         rep = random_baseline_report(tiny_world, tiny_datasets["s0"],

@@ -1,7 +1,12 @@
 """Model graph: forwards, prior, heads, checkpoint format."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mindalign import seeds
 from mindalign.errors import ConfigError, DataError
@@ -43,7 +48,7 @@ def world():
 
 @pytest.fixture()
 def mp(world):
-    subs = {sid: s.n_voxels for sid, s in world.subjects.items()}
+    subs = {sid: a.shape[0] for sid, a in world.subjects.items()}
     return init_model(WCFG, MCFG, subs, seed=1)
 
 
@@ -114,14 +119,14 @@ class TestBackbone:
 class TestSchedule:
     @pytest.mark.parametrize("kind", ["cosine", "linear"])
     def test_monotone_decreasing_unit_interval(self, kind):
-        s = make_schedule(kind, 64)
-        assert np.all(np.diff(s.alpha_bar) < 0)
-        assert s.alpha_bar[0] > 0.99
-        assert s.alpha_bar[-1] < 0.05
-        assert np.all(s.alpha_bar > 0) and np.all(s.alpha_bar <= 1)
+        ab = make_schedule(kind, 64)
+        assert np.all(np.diff(ab) < 0)
+        assert ab[0] > 0.99
+        assert ab[-1] < 0.05
+        assert np.all(ab > 0) and np.all(ab <= 1)
 
     def test_single_step_allowed(self):
-        assert make_schedule("cosine", 1).alpha_bar.shape == (1,)
+        assert make_schedule("cosine", 1).shape == (1,)
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
@@ -145,7 +150,7 @@ class TestPrior:
         t = np.array([0, 2, 4, 7])
         loss = prior_train_step(mp, toks, targ, t, noise_seed=9)
         eps = seeds.rng(9, "prior-noise").normal(size=targ.shape)
-        ab = mp.schedule.alpha_bar[t][:, None]
+        ab = mp.alpha_bar[t][:, None]
         x_t = np.sqrt(ab) * targ + np.sqrt(1 - ab) * eps
         pred = denoise(mp, x_t, t, toks).data
         assert loss.item() == pytest.approx(((pred - targ) ** 2).mean(), abs=1e-12)
@@ -241,7 +246,7 @@ class TestHeads:
 
 class TestStructure:
     def test_parameter_count_matches_analytic(self, world, mp):
-        subs = {sid: s.n_voxels for sid, s in world.subjects.items()}
+        subs = {sid: a.shape[0] for sid, a in world.subjects.items()}
         assert mp.parameter_count() == expected_parameter_count(WCFG, MCFG, subs)
         m2 = init_model(WCFG, ModelConfig(**{**MCFG.__dict__, "mlp_ridge": True}),
                         subs, seed=1)
@@ -251,7 +256,7 @@ class TestStructure:
     @pytest.mark.parametrize("mlp_ridge", [False, True])
     def test_shape_table_matches_built_model(self, world, mlp_ridge):
         mcfg = ModelConfig(**{**MCFG.__dict__, "mlp_ridge": mlp_ridge})
-        subs = {sid: s.n_voxels for sid, s in world.subjects.items()}
+        subs = {sid: a.shape[0] for sid, a in world.subjects.items()}
         m = init_model(WCFG, mcfg, subs, seed=1)
         assert [(k, p.shape) for k, p in m.params.items()] == list(
             parameter_shapes(WCFG, mcfg, subs).items())
@@ -335,6 +340,44 @@ class TestCheckpoint:
         with pytest.raises(ConfigError):
             save_checkpoint(mp, tmp_path / "e.me2c")
         assert not (tmp_path / "e.me2c").exists()
+
+
+class TestSubjectsFromRidge:
+    """A model serves exactly the subjects whose ridge layers it holds."""
+
+    @staticmethod
+    def _check(model, want):
+        ridge = {name[len("ridge."):-len(".W")]: p.shape[0] for name, p in model.params.items()
+                 if name.startswith("ridge.") and name.endswith(".W")}
+        assert model.subjects == ridge == want
+        assert expected_parameter_count(model.world_cfg, model.mcfg,
+                                        model.subjects) == model.parameter_count()
+
+    @settings(max_examples=6)
+    @given(drawn=st.dictionaries(st.sampled_from(["a", "b", "s3"]), st.integers(1, 30),
+                                 min_size=1, max_size=3),
+           mlp_ridge=st.booleans())
+    def test_init_add_finetune_and_round_trip(self, tiny_world, tiny_datasets, drawn,
+                                              mlp_ridge):
+        ds = tiny_datasets["s3"]
+        # a checkpoint that has s3 hands its ridge layer on to the fine-tune
+        subjects = {sid: ds.n_voxels if sid == "s3" else n for sid, n in drawn.items()}
+        mcfg = ModelConfig(**{**MCFG.__dict__, "mlp_ridge": mlp_ridge})
+        mp = init_model(tiny_world.config, mcfg, subjects, seed=1)
+        self._check(mp, subjects)
+        add_subject(mp, "new", 7, seed=2)
+        self._check(mp, {**subjects, "new": 7})
+        models = [mp]
+        for ridge_only in (False, True):
+            ft, _ = finetune(mp, tiny_world, ds, 1, TrainConfig(
+                epochs=1, batch_size=6, held_out_subject="s3",
+                ridge_only_finetune=ridge_only))
+            self._check(ft, {"s3": ds.n_voxels})
+            models.append(ft)
+        with tempfile.TemporaryDirectory() as tmp:
+            for i, model in enumerate(models):
+                save_checkpoint(model, Path(tmp) / f"{i}.me2c")
+                self._check(load_checkpoint(Path(tmp) / f"{i}.me2c"), model.subjects)
 
 
 class TestLayout:

@@ -78,7 +78,7 @@ def test_decay_mask_limits_decay():
 
 def test_warmup_cosine_shape():
     total = 100
-    lrs = [warmup_cosine_lr(s, total, 1.0) for s in range(total)]
+    lrs = [warmup_cosine_lr(s, total, 1.0, 0.05) for s in range(total)]
     warm = int(np.ceil(0.05 * total))
     assert lrs[0] == pytest.approx(1.0 / warm)
     assert max(lrs) == pytest.approx(1.0)

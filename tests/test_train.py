@@ -297,6 +297,22 @@ class TestAblation:
         with pytest.raises(ConfigError):
             variant_config(FAST, "Everything")
 
+    def test_bad_variant_refused_before_any_training(self, tiny_world, tiny_datasets,
+                                                     tiny_mcfg, monkeypatch):
+        from mindalign.evaluate import EvalConfig
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            raise RuntimeError("trained before the sweep was checked")
+
+        monkeypatch.setattr(train_mod, "train_from_scratch", counting)
+        with pytest.raises(ConfigError, match="Bogus"):
+            ablation_run(tiny_world, tiny_datasets["s0"], 2, FAST, tiny_mcfg,
+                         EvalConfig(pool_size=16, repetitions=3),
+                         variants=("Prior", "All", "Bogus"))
+        assert calls == []
+
     @pytest.mark.slow
     def test_ret_only_has_no_reconstruction_metrics(self, tiny_world, tiny_datasets,
                                                     tiny_mcfg):
@@ -350,7 +366,7 @@ class TestPriorLearning:
         n, bs = targets.shape[0], 16
         for it in range(400):
             rows = rng.choice(n, size=bs, replace=False)
-            t_draw = rng.integers(0, mp.schedule.t_steps, size=bs)
+            t_draw = rng.integers(0, mp.mcfg.t_steps, size=bs)
             loss = prior_train_step(mp, targets[rows], targets[rows], t_draw,
                                     noise_seed=seeds.derive(1, "noise", it))
             opt.zero_grad()

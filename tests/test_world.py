@@ -49,7 +49,7 @@ class TestGenerateWorld:
         assert np.array_equal(world.encoder, w2.encoder)
         assert np.array_equal(world.images, w2.images)
         for sid in world.subjects:
-            assert np.array_equal(world.subjects[sid].matrix, w2.subjects[sid].matrix)
+            assert np.array_equal(world.subjects[sid], w2.subjects[sid])
 
     def test_decoder_inverts_encoder(self, default_world):
         w = default_world
@@ -57,7 +57,7 @@ class TestGenerateWorld:
         assert np.abs(eye - np.eye(w.config.pixel_dim)).max() < 1e-8
 
     def test_distinct_voxel_counts(self, default_world):
-        counts = [s.n_voxels for s in default_world.subjects.values()]
+        counts = [a.shape[0] for a in default_world.subjects.values()]
         assert len(counts) == 8
         assert len(set(counts)) == 8
         assert all(120 <= c <= 200 for c in counts)
@@ -116,11 +116,11 @@ class TestGenerateWorld:
             WorldConfig(**{field: 0}).validate()
 
     def test_region_partition_disjoint_cover(self, world):
-        for sid, fm in world.subjects.items():
+        for sid, forward in world.subjects.items():
             regions = world.regions[sid]
             assert set(regions) == set(REGION_NAMES)
             combined = np.concatenate([regions[r] for r in REGION_NAMES])
-            assert sorted(combined.tolist()) == list(range(fm.n_voxels))
+            assert sorted(combined.tolist()) == list(range(forward.shape[0]))
 
     def test_images_in_unit_interval(self, world):
         assert world.images.min() >= 0.0
@@ -137,7 +137,7 @@ class TestSimulateResponse:
         w0 = generate_world(cfg, seed=7)
         d = generate_dataset(w0, "s0", seed=3)
         pixels = w0.images[d.image_ids].reshape(d.n_trials, -1)
-        np.testing.assert_array_equal(d.voxels, pixels @ w0.subjects["s0"].matrix.T)
+        np.testing.assert_array_equal(d.voxels, pixels @ w0.subjects["s0"].T)
 
     def test_seed_repeats_noise(self, world):
         a = generate_dataset(world, "s0", seed=42).voxels
@@ -175,6 +175,12 @@ class TestGenerateDataset:
     def test_pool_exhaustion_rejected(self, world):
         with pytest.raises(DataError):
             generate_dataset(world, "s0", n_sessions=100, seed=1)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_per_session_rejected(self, world, trials):
+        # 0 used to give a dataset without training trials, -1 a numpy ValueError
+        with pytest.raises(DataError, match="trials_per_session"):
+            generate_dataset(world, "s0", trials_per_session=trials, seed=1)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_session_subsetting(self, world, k):
