@@ -268,7 +268,11 @@ class EncodingModel:
 
     Either the world's true forward model (oracle) or a ridge regression fit
     on the training split with the regularizer chosen by generalized
-    cross-validation, one strength per region.
+    cross-validation, one strength per region. With no more trials than
+    pixels the fit is solved in the dual (Saunders et al., 1998): one
+    eigendecomposition of the trials' n x n Gram matrix gives every
+    candidate's residual in closed form, and only the chosen strength's
+    weights are built. With more trials it takes a thin SVD of the images.
     """
 
     weights: np.ndarray            # [n_voxels, pixel_dim]
@@ -294,33 +298,51 @@ class EncodingModel:
             raise DataError("images and voxels must pair one-to-one")
         x_mean = X.mean(axis=0)
         Xc = X - x_mean
-        U, s, Vt = np.linalg.svd(Xc, full_matrices=False)
-        n = X.shape[0]
-        weights = np.zeros((Y.shape[1], X.shape[1]))
+        n, p = X.shape
+        # dual: with no more trials than pixels, the n x n Gram matrix's
+        # complete eigenbasis Q gives every residual as a sum of non-negative
+        # terms; with more trials the thin SVD is the smaller factorization,
+        # but its U does not span the trials, so each residual is formed
+        dual = n <= p
+        if dual:
+            e, Q = np.linalg.eigh(Xc @ Xc.T)
+            e = np.maximum(e, 0.0)
+        else:
+            Q, s, Vt = np.linalg.svd(Xc, full_matrices=False)
+            e = s * s
+        weights = np.zeros((Y.shape[1], p))
         intercept = np.zeros(Y.shape[1])
         strengths: dict[str, float] = {}
         # GCV degenerates at interpolation (centered X and Y share a
         # hyperplane, so the residual vanishes faster than the df penalty);
         # candidates that nearly exhaust the degrees of freedom are skipped
-        max_edf = 0.98 * min(n - 1, s.size)
+        max_edf = 0.98 * min(n - 1, e.size)
         for name, idx in regions.items():
             Yr = Y[:, idx]
             y_mean = Yr.mean(axis=0)
             Yc = Yr - y_mean
-            UtY = U.T @ Yc
+            QtY = Q.T @ Yc
+            if dual:
+                energy = (QtY * QtY).sum(axis=1)
             best_lam, best_gcv = None, np.inf
             for lam in _GCV_LAMBDAS:
-                shrink = s * s / (s * s + lam)
+                shrink = e / (e + lam)
                 edf = shrink.sum()
                 if edf > max_edf:
                     continue
-                resid = Yc - U @ (shrink[:, None] * UtY)
-                gcv = (resid ** 2).sum() / n / (1.0 - edf / n) ** 2
+                if dual:
+                    rss = ((lam / (e + lam)) ** 2 * energy).sum()
+                else:
+                    rss = ((Yc - Q @ (shrink[:, None] * QtY)) ** 2).sum()
+                gcv = rss / n / (1.0 - edf / n) ** 2
                 if gcv < best_gcv:
                     best_gcv, best_lam = gcv, float(lam)
             if best_lam is None:
                 best_lam = float(_GCV_LAMBDAS[-1])
-            coef = Vt.T @ ((s / (s * s + best_lam))[:, None] * UtY)
+            if dual:
+                coef = Xc.T @ (Q @ (QtY / (e + best_lam)[:, None]))
+            else:
+                coef = Vt.T @ ((s / (e + best_lam))[:, None] * QtY)
             weights[idx] = coef.T
             intercept[idx] = y_mean - x_mean @ coef
             strengths[name] = best_lam
@@ -548,6 +570,7 @@ def run_scaling(world: WorldSpec, datasets: dict[str, SubjectDataset],
             raise ConfigError(f"unknown scaling arm {arm!r}")
     if arms and not session_grid:
         raise ConfigError("session grid is empty")
+    session_grid = tuple(dict.fromkeys(session_grid))  # a repeated k trains once
     target = datasets[held_out]
     for k in session_grid if arms else ():
         target.check_sessions(k)  # before anything trains

@@ -94,7 +94,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         # the one finiteness check: every op's output passes through here
-        if not np.all(np.isfinite(self.data)):
+        if not np.isfinite(self.data).all():
             raise NonFiniteError("non-finite value in tensor data")
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)

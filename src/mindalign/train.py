@@ -151,6 +151,11 @@ def _train_loop(world: WorldSpec, datasets: dict[str, SubjectDataset],
         raise DataError(f"not enough training trials ({n_min}) for a batch of "
                         f"{per_subject} per subject")
     total_iters = cfg.epochs * iters_per_epoch
+    # the encoder is fixed and the training images repeat every epoch, so
+    # each subject's token targets are one product whose rows the batches take
+    tok_train = {sid: token_targets(
+                     world, world.images[datasets[sid].image_ids[train_idx[sid]]])
+                 for sid in subject_ids}
 
     params = {k: p for k, p in mp.params.items() if p.requires_grad}
     opt = AdamW(params, lr=cfg.lr, weight_decay=cfg.ridge_weight_decay,
@@ -164,10 +169,13 @@ def _train_loop(world: WorldSpec, datasets: dict[str, SubjectDataset],
             phase = loss_phase(it, total_iters)
             batch_rows = {sid: orders[sid][step * per_subject:(step + 1) * per_subject]
                           for sid in subject_ids}
+            tok_true = np.concatenate([
+                tok_train[sid][np.searchsorted(train_idx[sid], batch_rows[sid])]
+                for sid in subject_ids])
             part = "forward"
             try:
                 loss_parts = _batch_losses(world, datasets, mp, cfg, phase, batch_rows,
-                                           master, it)
+                                           tok_true, master, it)
                 total = total_loss(*loss_parts, cfg.weights)
                 opt.zero_grad()
                 part = "backward"
@@ -186,13 +194,12 @@ def _train_loop(world: WorldSpec, datasets: dict[str, SubjectDataset],
     return log
 
 
-def _batch_losses(world, datasets, mp, cfg, phase, batch_rows, master, it):
+def _batch_losses(world, datasets, mp, cfg, phase, batch_rows, tok_true, master, it):
     subject_ids = sorted(batch_rows)
     vox = {sid: datasets[sid].voxels[batch_rows[sid]] for sid in subject_ids}
     ids = np.concatenate([datasets[sid].image_ids[batch_rows[sid]]
                           for sid in subject_ids])
     imgs = world.images[ids]
-    tok_true = token_targets(world, imgs)
 
     def to_tokens(voxels_by_subject):
         lats = []
@@ -370,8 +377,10 @@ def ablation_run(world: WorldSpec, dataset: SubjectDataset, k_sessions: int,
     """Train and evaluate one model per component combination, shared seed."""
     from .evaluate import evaluate_model  # breaks the module cycle
 
-    # a bad entry is refused before the first variant trains
-    vcfgs = [(variant, variant_config(cfg, variant)) for variant in variants]
+    # a bad entry is refused before the first variant trains, and a repeated
+    # one trains once (the same seed gives the same model)
+    vcfgs = [(variant, variant_config(cfg, variant))
+             for variant in dict.fromkeys(variants)]
     reports = {}
     for variant, vcfg in vcfgs:
         mp, _ = train_from_scratch(world, dataset, k_sessions, vcfg, mcfg)

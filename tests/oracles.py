@@ -3,7 +3,7 @@
 Everything here is written as plain scalar loops over Python floats, with no
 shared code paths into the package under test. Slow on purpose. The
 exceptions, numpy restatements of an older form that the package must
-still match bit for bit, say so in their docstrings.
+still match, bit for bit or to rounding, say so in their docstrings.
 """
 
 from __future__ import annotations
@@ -305,3 +305,47 @@ def retrieval_per_item(emb, temb, pool_size: int, repetitions: int, rng) -> dict
         brain_acc[rep] = brain_hits / n
     return {"image_retrieval": float(image_acc.mean()),
             "brain_retrieval": float(brain_acc.mean())}
+
+
+def encoding_fit_svd(images, voxels, regions):
+    """Per-region ridge encoding fit through a thin SVD of the centered
+    images, returning ``(weights, intercept, reg_strength)``.
+
+    Not a scalar loop: the primal form, one residual product per region and
+    per candidate strength, that the dual fit in ``EncodingModel.fit`` must
+    match in its strength choices and to rounding in its weights. The
+    strengths and the degrees-of-freedom cap restate the package's.
+    """
+    lambdas = np.logspace(-6, 4, 21)
+    X = np.asarray(images, dtype=np.float64).reshape(images.shape[0], -1)
+    Y = np.asarray(voxels, dtype=np.float64)
+    x_mean = X.mean(axis=0)
+    Xc = X - x_mean
+    U, s, Vt = np.linalg.svd(Xc, full_matrices=False)
+    n = X.shape[0]
+    weights = np.zeros((Y.shape[1], X.shape[1]))
+    intercept = np.zeros(Y.shape[1])
+    strengths = {}
+    max_edf = 0.98 * min(n - 1, s.size)
+    for name, idx in regions.items():
+        Yr = Y[:, idx]
+        y_mean = Yr.mean(axis=0)
+        Yc = Yr - y_mean
+        UtY = U.T @ Yc
+        best_lam, best_gcv = None, np.inf
+        for lam in lambdas:
+            shrink = s * s / (s * s + lam)
+            edf = shrink.sum()
+            if edf > max_edf:
+                continue
+            resid = Yc - U @ (shrink[:, None] * UtY)
+            gcv = (resid ** 2).sum() / n / (1.0 - edf / n) ** 2
+            if gcv < best_gcv:
+                best_gcv, best_lam = gcv, float(lam)
+        if best_lam is None:
+            best_lam = float(lambdas[-1])
+        coef = Vt.T @ ((s / (s * s + best_lam))[:, None] * UtY)
+        weights[idx] = coef.T
+        intercept[idx] = y_mean - x_mean @ coef
+        strengths[name] = best_lam
+    return weights, intercept, strengths

@@ -33,11 +33,13 @@ from mindalign.world import WorldConfig, generate_dataset, generate_world, norma
 from oracles import (
     box_blur_naive,
     box_blur_per_image,
+    encoding_fit_svd,
     pearson_naive,
     retrieval_per_item,
     ssim_naive,
     ssim_per_image,
 )
+from test_acceptance import SCALE_WORLD
 
 
 class TestPixCorr:
@@ -292,6 +294,55 @@ class TestEncodingModel:
         scores = brain_correlation(imgs, ds.shared_voxels(), enc)
         assert scores["all"] > 0.99
 
+    def _assert_fit_matches_svd(self, world, ds):
+        """The dual fit picks the primal SVD fit's strengths, and its weights
+        and brain correlations agree to rounding."""
+        mask = ds.train_mask
+        images, voxels = world.images[ds.image_ids[mask]], ds.voxels[mask]
+        regions = world.regions[ds.subject_id]
+        enc = EncodingModel.fit(images, voxels, regions)
+        weights, intercept, strengths = encoding_fit_svd(images, voxels, regions)
+        assert enc.reg_strength == strengths
+        # relative to the largest entry: at the smallest strength an entry
+        # near zero keeps only the rounding of its larger neighbours
+        for got, want in ((enc.weights, weights), (enc.intercept, intercept)):
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+        svd_enc = EncodingModel(weights=weights, intercept=intercept, regions=regions,
+                                reg_strength=strengths)
+        truths = world.images[ds.image_ids[ds.is_shared]]
+        noisy = truths + 0.3 * np.random.default_rng(2).standard_normal(truths.shape)
+        for recons in (truths, noisy):
+            got = brain_correlation(recons, ds.shared_voxels(), enc)
+            want = brain_correlation(recons, ds.shared_voxels(), svd_enc)
+            assert got.keys() == want.keys()
+            for region in want:
+                assert abs(got[region] - want[region]) <= 1e-12, region
+        return enc, svd_enc
+
+    def test_fit_matches_svd_oracle_noiseless(self):
+        self._assert_fit_matches_svd(*self._noiseless())
+
+    def test_fit_matches_svd_oracle_tiny_world(self, tiny_world, tiny_datasets):
+        for sid in ("s0", "s3"):
+            self._assert_fit_matches_svd(tiny_world, tiny_datasets[sid])
+
+    def test_fit_matches_svd_oracle_scale_world(self):
+        world = generate_world(SCALE_WORLD, seed=11)
+        self._assert_fit_matches_svd(world, normalize(generate_dataset(world, "s3", seed=4)))
+
+    def test_more_trials_than_pixels_keeps_the_svd_fit(self):
+        # 80 training trials over 16 pixels: the Gram matrix would be larger
+        # than the pixel covariance, so the fit stays primal, bit for bit
+        cfg = WorldConfig(image_hw=4, channels=1, n_tokens=4, d_token=8, vae_hw=2,
+                          n_subjects=2, voxels_min=20, voxels_max=30, n_sessions=4,
+                          trials_per_session=20, n_shared=8)
+        world = generate_world(cfg, 5)
+        ds = normalize(generate_dataset(world, "s1", seed=6))
+        assert ds.train_mask.sum() == 80 > world.images[0].size == 16
+        enc, svd_enc = self._assert_fit_matches_svd(world, ds)
+        np.testing.assert_array_equal(enc.weights, svd_enc.weights)
+        np.testing.assert_array_equal(enc.intercept, svd_enc.intercept)
+
     def test_zero_voxel_region_rejected(self):
         world, ds = self._noiseless()
         enc = EncodingModel.oracle(world, "s0")
@@ -341,6 +392,20 @@ class TestEvaluateModel:
         assert rep.protocol["chance"] == pytest.approx(1 / 16)
         assert 0.0 <= rep.metrics["image_retrieval"] <= 1.0
         assert -1.0 <= rep.metrics["pixcorr"] <= 1.0
+
+    def test_brain_correlation_matches_svd_fit(self, tiny_world, tiny_datasets, tiny_mcfg):
+        ds = tiny_datasets["s1"]
+        mp = init_model(tiny_world.config, tiny_mcfg, {"s1": ds.n_voxels}, seed=4)
+        cfg = EvalConfig(pool_size=16, repetitions=2, seed=0, include_brain_corr=True)
+        rep = evaluate_model(mp, tiny_world, ds, cfg)
+        mask = ds.train_mask
+        regions = tiny_world.regions["s1"]
+        weights, intercept, strengths = encoding_fit_svd(
+            tiny_world.images[ds.image_ids[mask]], ds.voxels[mask], regions)
+        want = brain_correlation(rep.recons, ds.shared_voxels(), EncodingModel(
+            weights=weights, intercept=intercept, regions=regions, reg_strength=strengths))
+        for region, r in want.items():
+            assert abs(rep.metrics[f"brain_corr_{region}"] - r) <= 1e-12, region
 
     def test_retrieval_only_when_reconstruction_excluded(self, tiny_world,
                                                          tiny_datasets, tiny_mcfg):
@@ -416,6 +481,30 @@ class TestScalingNormalization:
                         TrainConfig(held_out_subject="s3"), tiny_mcfg,
                         EvalConfig(pool_size=16, repetitions=2))
         assert calls == []
+
+    def test_repeated_session_count_trains_once(self, tiny_world, tiny_datasets,
+                                                tiny_mcfg, monkeypatch):
+        calls = []
+
+        def recording(name, k_arg):  # k_arg: where the call takes its session count
+            def call(*args):
+                calls.append((name, None if k_arg is None else args[k_arg]))
+                return f"{name} model", None
+            return call
+
+        for name, k_arg in (("pretrain", None), ("finetune", 3), ("train_from_scratch", 2)):
+            monkeypatch.setattr(evaluate_mod, name, recording(name, k_arg))
+        monkeypatch.setattr(evaluate_mod, "evaluate_model",
+                            lambda *args, **kwargs: EvalReport(metrics={}, protocol={}))
+        result = run_scaling(tiny_world, tiny_datasets, "s3", (2, 1, 2, 1),
+                             ("pretrained", "scratch"), TrainConfig(held_out_subject="s3"),
+                             tiny_mcfg, EvalConfig(pool_size=16, repetitions=2))
+        # the anchor fine-tunes on all 4 sessions, which the grid lacks
+        assert calls == [("pretrain", None), ("finetune", 2), ("finetune", 1),
+                         ("train_from_scratch", 2), ("train_from_scratch", 1),
+                         ("finetune", 4)]
+        assert {arm: list(curve) for arm, curve in result.arms.items()} == {
+            "pretrained": [2, 1], "scratch": [2, 1]}
 
     def test_random_baseline_twoway_near_half(self, tiny_world, tiny_datasets):
         rep = random_baseline_report(tiny_world, tiny_datasets["s0"],

@@ -51,9 +51,9 @@ class TestPretrain:
         seen = []
         real = train_mod._batch_losses
 
-        def spy(world, datasets, mp, cfg, phase, batch_rows, master, it):
+        def spy(world, datasets, mp, cfg, phase, batch_rows, *rest):
             seen.append({sid: len(rows) for sid, rows in batch_rows.items()})
-            return real(world, datasets, mp, cfg, phase, batch_rows, master, it)
+            return real(world, datasets, mp, cfg, phase, batch_rows, *rest)
 
         monkeypatch.setattr(train_mod, "_batch_losses", spy)
         pre = {sid: ds for sid, ds in tiny_datasets.items() if sid != "s3"}
@@ -77,15 +77,31 @@ class TestPretrain:
         totals = []
         real = train_mod._batch_losses
 
-        def spy(world_, datasets_, mp, cfg, phase, batch_rows, master, it):
+        def spy(world_, datasets_, mp, cfg, phase, batch_rows, *rest):
             totals.append(sum(len(r) for r in batch_rows.values()))
-            return real(world_, datasets_, mp, cfg, phase, batch_rows, master, it)
+            return real(world_, datasets_, mp, cfg, phase, batch_rows, *rest)
 
         monkeypatch.setattr(train_mod, "_batch_losses", spy)
         cfg = TrainConfig(epochs=1, samples_per_subject_per_batch=9, batch_size=9,
                           seed=0, held_out_subject="s7")
         pretrain(world, datasets, cfg, mcfg)
         assert totals == [63]
+
+    def test_token_targets_once_per_subject(self, tiny_world, tiny_datasets, tiny_mcfg,
+                                            monkeypatch):
+        # the batches take their token targets from one product per subject
+        rows = []
+        real = train_mod.token_targets
+
+        def counting(world, images):
+            rows.append(images.shape[0])
+            return real(world, images)
+
+        monkeypatch.setattr(train_mod, "token_targets", counting)
+        pre = {sid: ds for sid, ds in tiny_datasets.items() if sid != "s3"}
+        _, log = pretrain(tiny_world, pre, FAST, tiny_mcfg)
+        assert rows == [int(pre[sid].train_mask.sum()) for sid in sorted(pre)]
+        assert len(log.rows) > 1
 
     def test_mixco_draws_per_subject_stream_one_row_each(self, tiny_world, tiny_datasets,
                                                           tiny_mcfg):
@@ -312,6 +328,25 @@ class TestAblation:
                          EvalConfig(pool_size=16, repetitions=3),
                          variants=("Prior", "All", "Bogus"))
         assert calls == []
+
+    def test_repeated_variant_trains_once(self, tiny_world, tiny_datasets, tiny_mcfg,
+                                          monkeypatch):
+        from mindalign import evaluate as evaluate_mod
+        from mindalign.evaluate import EvalConfig
+        trained = []
+
+        def counting(world, dataset, k, cfg, mcfg):
+            trained.append(cfg)
+            return len(trained), None
+
+        monkeypatch.setattr(train_mod, "train_from_scratch", counting)
+        monkeypatch.setattr(evaluate_mod, "evaluate_model",
+                            lambda mp, *args, **kwargs: f"report of model {mp}")
+        reports = ablation_run(tiny_world, tiny_datasets["s0"], 2, FAST, tiny_mcfg,
+                               EvalConfig(pool_size=16, repetitions=3),
+                               variants=("All", "Prior", "All", "Prior", "All"))
+        assert trained == [variant_config(FAST, "All"), variant_config(FAST, "Prior")]
+        assert reports == {"All": "report of model 1", "Prior": "report of model 2"}
 
     @pytest.mark.slow
     def test_ret_only_has_no_reconstruction_metrics(self, tiny_world, tiny_datasets,
