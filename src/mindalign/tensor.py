@@ -534,6 +534,12 @@ def backward(graph: Graph, bindings: Mapping[str, Tensor],
             for k, t in bindings.items() if t.requires_grad}
 
 
+# gradcheck's floor on |gradient|, in ulps of the output per step: over 3000
+# random graphs with O(1-10) outputs, central differences of correct
+# gradients strayed up to 8e3 of these units, for a worst error of 1e-5
+_GRADCHECK_FLOOR_ULPS = 1e5
+
+
 def gradcheck(graph: Graph, bindings: Mapping[str, Tensor], eps: float = 1e-5,
               coords_per_param: int | None = None, seed: int = 0) -> float:
     """Max relative error between analytic and central-difference gradients.
@@ -542,18 +548,17 @@ def gradcheck(graph: Graph, bindings: Mapping[str, Tensor], eps: float = 1e-5,
     many randomly chosen coordinates per binding are probed (necessary for
     large parameter sets); otherwise every coordinate is checked.
 
-    Each coordinate's error is `|a - n| / max(|a|, |n|, 1e-8)` for analytic
-    `a` and numeric `n`. The 1e-8 floor is absolute, not relative to the
-    output: rounding the output costs a central difference about
-    ulp(output) / (2 * eps), 1e-11 to 1e-10 for an O(1-10) output at the
-    default eps. A coordinate whose true gradient is under about 1e-6 can
-    then score above 1e-4 on rounding alone, and one near the floor up to
-    1e-2. Tests of random graphs therefore scale their output down (by
-    1e-3 in `TestRandomGraphs`) so that the floor sits above that noise.
+    Each coordinate's error is `|a - n| / max(|a|, |n|, floor)` for analytic
+    `a` and numeric `n`. Rounding the output by one ulp moves a central
+    difference by ulp(output) / (2 * eps), so the floor is
+    `_GRADCHECK_FLOOR_ULPS` times ulp(output) / eps: a gradient below it is
+    judged by its absolute error, at a scale set by the output's own
+    rounding, whatever the output's size.
     """
     out = graph(bindings)
     if out.size != 1:
         raise GraphError("gradcheck requires a scalar graph output")
+    floor = _GRADCHECK_FLOOR_ULPS * np.spacing(abs(out.item())) / eps
     analytic = backward(graph, bindings)
     rng = np.random.Generator(np.random.PCG64(seed))
     worst = 0.0
@@ -577,6 +582,6 @@ def gradcheck(graph: Graph, bindings: Mapping[str, Tensor], eps: float = 1e-5,
             flat[i] = keep
             numeric = (hi - lo) / (2.0 * eps)
             a = gflat[i]
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+            rel = abs(a - numeric) / max(abs(a), abs(numeric), floor)
             worst = max(worst, rel)
     return worst

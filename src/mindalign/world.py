@@ -184,41 +184,54 @@ def _smooth_images(n: int, cfg: WorldConfig, rng: np.random.Generator) -> np.nda
     return np.clip(flat, 0.0, 1.0, out=flat).reshape(smooth.shape)
 
 
-def _rank_and_pinv(a: np.ndarray) -> tuple[int, np.ndarray]:
-    """The rank of ``a`` and its pseudo-inverse from one SVD.
+def _full_rank_pinv(a: np.ndarray) -> np.ndarray | None:
+    """The pseudo-inverse of ``a`` from one reduced QR, or None when ``a`` is
+    not of full rank.
 
-    The rank uses ``np.linalg.matrix_rank``'s tolerance and the inverse
-    ``np.linalg.pinv``'s cutoff and operations, so it has pinv's bits."""
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.count_nonzero(s > s.max() * max(a.shape) * np.finfo(s.dtype).eps))
-    large = s > 1e-15 * s.max()
-    s = np.divide(1, s, where=large, out=s)
-    s[~large] = 0
-    return rank, np.matmul(vt.T, np.multiply(s[:, None], u.T))
+    The tall orientation ``t`` (``a``, or ``a.T`` when ``a`` is wide) factors
+    as ``Q @ R``, so ``pinv(t) = inv(R) @ Q.T``. It counts as full rank when
+    the 1-norm reciprocal condition ``1 / (|R|_1 * |inv(R)|_1)`` exceeds
+    ``max(m, n) * eps``. A singular or non-finite ``inv(R)`` is a deficient
+    matrix too, under any numpy error state, never an exception."""
+    wide = a.shape[0] < a.shape[1]
+    q, r = np.linalg.qr(a.T if wide else a)
+    try:
+        r_inv = np.linalg.inv(r)
+    except np.linalg.LinAlgError:
+        return None
+    with np.errstate(over="ignore"):
+        cond = np.linalg.norm(r, 1) * np.linalg.norm(r_inv, 1)
+    # an overflowing cond reads as rcond 0, and a nan one (inv(R) not
+    # finite) fails the comparison
+    if not 1.0 / cond > max(a.shape) * np.finfo(a.dtype).eps:
+        return None
+    return q @ r_inv.T if wide else r_inv @ q.T
 
 
 def generate_world(config: WorldConfig, seed: int,
                    images: np.ndarray | None = None) -> WorldSpec:
     """Build the full synthetic world deterministically from (config, seed).
 
-    The encoder is factorized once: one SVD gives both its rank check and
-    its pseudo-inverse, the ``decoder``. A stored dataset passes its own
-    stimulus pool as ``images``."""
+    The encoder and the VAE map are factorized once each: one QR gives both
+    the full-rank check and the pseudo-inverse (``decoder``, ``vae_pinv``).
+    A stored dataset passes its own stimulus pool as ``images``."""
     config.validate()
     px = config.pixel_dim
 
     enc_rng = seeds.rng(seed, "encoder")
     for _ in range(_ENCODER_DRAWS):
         encoder = enc_rng.normal(size=(config.token_dim, px)) / np.sqrt(px)
-        rank, decoder = _rank_and_pinv(encoder)
-        if rank == px:
+        decoder = _full_rank_pinv(encoder)
+        if decoder is not None:
             break
     else:
         raise ConfigError("impossible rank condition: encoder stays rank-deficient")
 
     teacher = seeds.rng(seed, "teacher").normal(size=(config.d_teacher, px)) / np.sqrt(px)
     vae_map = seeds.rng(seed, "vae").normal(size=(config.vae_dim, px)) / np.sqrt(px)
-    vae_pinv = np.linalg.pinv(vae_map)
+    vae_pinv = _full_rank_pinv(vae_map)
+    if vae_pinv is None:
+        raise ConfigError("impossible rank condition: the VAE map is rank-deficient")
 
     subjects: dict[str, np.ndarray] = {}
     regions: dict[str, dict[str, np.ndarray]] = {}

@@ -349,3 +349,17 @@ def encoding_fit_svd(images, voxels, regions):
         intercept[idx] = y_mean - x_mean @ coef
         strengths[name] = best_lam
     return weights, intercept, strengths
+
+
+def pinv_svd(a):
+    """``np.linalg.pinv`` of ``a`` restated through one thin SVD, with
+    numpy's cutoff: the form the world's QR pseudo-inverses replaced, which
+    they must match to rounding.
+
+    Not a scalar loop: it has pinv's operations and therefore its bits.
+    """
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    large = s > 1e-15 * s.max()
+    s = np.divide(1, s, where=large, out=s)
+    s[~large] = 0
+    return np.matmul(vt.T, np.multiply(s[:, None], u.T))

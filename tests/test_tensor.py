@@ -397,10 +397,6 @@ def _random_graph(steps, seed):
                       tensor_sum(mul(nodes[steps[0][1] % len(nodes)], consts["C"]))),
                   add(l1_loss(nodes[steps[-1][2] % len(nodes)], consts["T"]),
                       cross_entropy_soft(last, consts["soft"])))
-        # scaled so that gradcheck's 1e-8 floor on |gradient| sits at 1e-5
-        # in the unscaled units, above the rounding noise (about 1e-10) of a
-        # central difference of an O(10) output
-        out = scale(out, 1e-3)
         built.append(out)
         return out
 

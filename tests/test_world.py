@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mindalign import seeds, world as world_mod
 from mindalign.errors import ConfigError, DataError
@@ -26,7 +28,8 @@ from mindalign.world import (
     token_targets,
     vae_targets,
 )
-from oracles import smooth_images_out_of_place
+from oracles import pinv_svd, smooth_images_out_of_place
+from test_acceptance import SCALE_WORLD
 
 SMALL = WorldConfig(image_hw=8, channels=3, n_tokens=8, d_token=32, vae_hw=4,
                     n_subjects=3, voxels_min=40, voxels_max=80, n_sessions=4,
@@ -41,6 +44,24 @@ def world():
 @pytest.fixture(scope="module")
 def default_world():
     return generate_world(WorldConfig(), seed=7)
+
+
+@pytest.fixture(scope="module")
+def scale_world():
+    return generate_world(SCALE_WORLD, seed=7)
+
+
+@pytest.fixture(scope="module")
+def square_world():
+    # token_dim == pixel_dim: the encoder is square, the VAE map tall
+    return generate_world(WorldConfig(image_hw=8, n_tokens=6, d_token=32), seed=7)
+
+
+def _assert_pinv_close(got, a):
+    # within 1e-11 of the SVD pseudo-inverse, relative to its largest entry
+    want = pinv_svd(a)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
 
 
 class TestGenerateWorld:
@@ -65,12 +86,12 @@ class TestGenerateWorld:
     def test_encoder_rank_exact(self, world):
         assert np.linalg.matrix_rank(world.encoder) == world.config.pixel_dim
 
-    @pytest.mark.parametrize("which", ["tiny_world", "default_world"])
-    def test_pseudo_inverses_are_numpys_bit_for_bit(self, request, which):
-        # the decoder comes from the SVD the rank check already ran
+    @pytest.mark.parametrize("which", ["tiny_world", "default_world", "scale_world",
+                                       "square_world"])
+    def test_pseudo_inverses_match_the_svd_oracle(self, request, which):
         w = request.getfixturevalue(which)
-        assert w.decoder.tobytes() == np.linalg.pinv(w.encoder).tobytes()
-        assert w.vae_pinv.tobytes() == np.linalg.pinv(w.vae_map).tobytes()
+        _assert_pinv_close(w.decoder, w.encoder)
+        _assert_pinv_close(w.vae_pinv, w.vae_map)
 
     @pytest.mark.parametrize("cfg", [SMALL, WorldConfig(smooth_sigma=0.0)])
     def test_images_equal_the_out_of_place_oracle(self, cfg):
@@ -85,14 +106,13 @@ class TestGenerateWorld:
         # the first `deficient` encoder draws read as rank-deficient; the world
         # takes the next draw of the same stream, and the ninth failure is fatal
         px, calls = SMALL.pixel_dim, []
-        real = world_mod._rank_and_pinv
+        real = world_mod._full_rank_pinv
 
-        def rank_and_pinv(a):
+        def full_rank_pinv(a):
             calls.append(a.copy())
-            rank, pinv = real(a)
-            return (px - 1 if len(calls) <= deficient else rank), pinv
+            return None if len(calls) <= deficient else real(a)
 
-        monkeypatch.setattr(world_mod, "_rank_and_pinv", rank_and_pinv)
+        monkeypatch.setattr(world_mod, "_full_rank_pinv", full_rank_pinv)
         stream = seeds.rng(7, "encoder")
         draws = [stream.normal(size=(SMALL.token_dim, px)) / np.sqrt(px)
                  for _ in range(min(deficient + 1, 9))]
@@ -102,8 +122,16 @@ class TestGenerateWorld:
         else:
             w = generate_world(SMALL, seed=7)
             assert w.encoder.tobytes() == draws[-1].tobytes()
-            assert w.decoder.tobytes() == np.linalg.pinv(draws[-1]).tobytes()
+            assert w.decoder.tobytes() == real(draws[-1]).tobytes()
+            draws.append(w.vae_map)  # the VAE map is factorized last
         assert [c.tobytes() for c in calls] == [d.tobytes() for d in draws]
+
+    def test_rank_deficient_vae_map_is_a_config_error(self, monkeypatch):
+        real = world_mod._full_rank_pinv
+        monkeypatch.setattr(world_mod, "_full_rank_pinv",
+                            lambda a: None if a.shape[0] == SMALL.vae_dim else real(a))
+        with pytest.raises(ConfigError, match="VAE map is rank-deficient"):
+            generate_world(SMALL, seed=7)
 
     def test_rank_condition_rejected(self):
         with pytest.raises(ConfigError):
@@ -149,6 +177,38 @@ class TestSimulateResponse:
     def test_unknown_subject(self, world):
         with pytest.raises(DataError):
             generate_dataset(world, "nope", seed=0)
+
+
+class TestFullRankPinv:
+    @staticmethod
+    def _tall(seed):
+        return np.random.default_rng(seed).normal(size=(40, 12))
+
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize("defect", ["duplicate", "zero", "tiny", "subnormal"])
+    def test_rank_deficiency_is_reported_not_raised(self, wide, defect):
+        # a duplicated column leaves R's diagonal at rounding level (about
+        # 1e-16), so R inverts to a huge, finite inverse; a zero column makes
+        # R exactly singular, so inversion raises; a column at 1e-308 gives a
+        # finite inverse whose norm times R's overflows, and one at 1e-310
+        # (subnormal) an inverse that is not finite
+        a = self._tall(3)
+        a[:, 5] = {"duplicate": a[:, 2], "zero": 0.0, "tiny": 1e-308 * a[:, 5],
+                   "subnormal": 1e-310 * a[:, 5]}[defect]
+        if defect == "duplicate":
+            assert 0 < abs(np.linalg.qr(a, mode="r")[5, 5]) < 1e-14
+        with np.errstate(all="raise"):
+            assert world_mod._full_rank_pinv(a.T if wide else a) is None
+
+    @settings(max_examples=60)
+    @given(short=st.integers(1, 24), extra=st.integers(1, 24), wide=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    def test_full_rank_gaussians_match_the_svd_oracle(self, short, extra, wide, seed):
+        a = np.random.default_rng(seed).normal(size=(short + extra, short))
+        a = a.T if wide else a
+        got = world_mod._full_rank_pinv(a)
+        assert got is not None
+        _assert_pinv_close(got, a)
 
 
 class TestGenerateDataset:
