@@ -25,15 +25,23 @@ class AdamW:
     default). A parameter without a gradient skips the adaptive step but
     still decays if masked in. `lr` may be reassigned between steps.
 
-    The moments `m[name]` and `v[name]` are allocated once, the first time
-    the parameter has a gradient. A step runs blocked and in place: it walks
-    the flat views of parameter, gradient and moments in `_BLOCK`-element
-    blocks through two scratch buffers, and allocates nothing after the first
-    step. Each element goes through the same float64 operations in one
-    fixed order (decay, `m`, `v`, the step, as the comments in `step` spell
-    out), so the bits do not depend on the block size. Bad input (`lr`, a
-    gradient's shape, a parameter that is not C-contiguous) raises before
-    anything changes.
+    The moments are kept scaled: `m[name]` holds `m / (1 - b1)` and
+    `v[name]` holds `v / (1 - b2)` of the published update, so neither
+    recurrence scales the gradient, and the bias corrections fold into one
+    step size and one `eps` per step, as in PyTorch's AdamW. In exact
+    arithmetic this is Loshchilov and Hutter's update (ICLR 2019); its
+    rounding differs in the last bits.
+
+    The moments are allocated once, the first time the parameter has a
+    gradient. A step runs blocked and in place: it walks the flat views of
+    parameter, gradient and moments in `_BLOCK`-element blocks through two
+    scratch buffers, and allocates nothing after the first step. Each
+    element goes through the same float64 operations in one fixed order
+    (decay, `m`, `v`, the step: 10 ufunc passes, 11 with decay, as the
+    comments in `step` spell out), so the bits do not depend on the block
+    size. Bad input (a non-finite or non-positive `lr`, a non-finite or
+    negative `weight_decay`, a gradient's shape, a parameter that is not
+    C-contiguous) raises before anything changes.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 0.0,
@@ -52,8 +60,11 @@ class AdamW:
             p.zero_grad()
 
     def step(self) -> None:
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be finite and non-negative, "
+                             f"got {self.weight_decay}")
         work = []
         for name, p in self.params.items():
             g = p.grad
@@ -70,9 +81,13 @@ class AdamW:
             work.append((name, p.data, g, decay))
         self.step_count += 1
         t = self.step_count
-        b1, b2, lr, eps = _BETA1, _BETA2, self.lr, _EPS
+        b1, b2, lr = _BETA1, _BETA2, self.lr
         bc1 = 1.0 - b1 ** t
         bc2 = 1.0 - b2 ** t
+        # with the scaled moments, m_hat = (1-b1)*m/bc1 and sqrt(v_hat) = c*sqrt(v)
+        c = math.sqrt((1.0 - b2) / bc2)
+        step_size = lr * (1.0 - b1) / (bc1 * c)
+        eps = _EPS / c
         s1, s2 = self._scratch
         for name, data, g, decay in work:
             p = data.reshape(-1)
@@ -86,28 +101,23 @@ class AdamW:
             for lo in range(0, p.size, _BLOCK):
                 hi = lo + _BLOCK
                 pb = p[lo:hi]
-                u, w = s1[:pb.size], s2[:pb.size]
-                if decay:  # p -= (lr*decay)*p
-                    np.multiply(pb, lr * decay, out=u)
-                    np.subtract(pb, u, out=pb)
+                if decay:  # p *= 1 - lr*decay
+                    np.multiply(pb, 1.0 - lr * decay, out=pb)
                 if g is None:
                     continue
+                u, w = s1[:pb.size], s2[:pb.size]
                 gb, mb, vb = g[lo:hi], m[lo:hi], v[lo:hi]
-                # m = b1*m + (1-b1)*g
+                # scaled moments: m = b1*m + g
                 np.multiply(mb, b1, out=mb)
-                np.multiply(gb, 1.0 - b1, out=u)
-                np.add(mb, u, out=mb)
-                # v = b2*v + ((1-b2)*g)*g
+                np.add(mb, gb, out=mb)
+                # v = b2*v + g*g
                 np.multiply(vb, b2, out=vb)
-                np.multiply(gb, 1.0 - b2, out=u)
-                np.multiply(u, gb, out=u)
+                np.multiply(gb, gb, out=u)
                 np.add(vb, u, out=vb)
-                # p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
-                np.divide(mb, bc1, out=u)
-                np.multiply(u, lr, out=u)
-                np.divide(vb, bc2, out=w)
-                np.sqrt(w, out=w)
+                # p -= (step_size*m) / (sqrt(v) + eps)
+                np.sqrt(vb, out=w)
                 np.add(w, eps, out=w)
+                np.multiply(mb, step_size, out=u)
                 np.divide(u, w, out=u)
                 np.subtract(pb, u, out=pb)
 

@@ -12,6 +12,7 @@ consumed trial ids is kept on the log to make that checkable.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -79,8 +80,11 @@ class TrainConfig:
     def validate(self) -> None:
         if self.epochs < 1 or self.batch_size < 2 or self.samples_per_subject_per_batch < 1:
             raise ConfigError("epochs must be >= 1 and batch sizes >= 2")
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"train.lr must be finite and positive, got {self.lr}")
+        if not (math.isfinite(self.ridge_weight_decay) and self.ridge_weight_decay >= 0):
+            raise ConfigError(f"train.ridge_weight_decay must be finite and non-negative, "
+                              f"got {self.ridge_weight_decay}")
         if not (self.use_prior or self.use_retrieval or self.use_lowlevel):
             raise ConfigError("at least one objective must stay enabled")
         if self.tau_bimixco <= 0 or self.tau_softclip <= 0:

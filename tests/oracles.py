@@ -191,27 +191,33 @@ def adamw_reference_step(p, g, m, v, t, lr, b1, b2, eps, wd):
 def adamw_unblocked_step(params, grads, m, v, t, lr, b1, b2, eps, wd, decay_mask=None):
     """One whole-array AdamW step over named arrays, updating them in place.
 
-    One of the two oracles here that are not scalar loops: the update
-    written as one numpy expression per term, each with a temporary as large as the
-    parameter, which the optimizer's blocked update must match bit for bit.
+    One of the two oracles here that are not scalar loops: the folded
+    update, with the moments kept as ``m / (1 - b1)`` and ``v / (1 - b2)``
+    and the bias corrections in the step size and ``eps``, written as one
+    numpy expression per term, each with a temporary as large as the
+    parameter. The optimizer's blocked update must match it bit for bit;
+    ``adamw_reference_step`` checks its algebra to rounding.
     A name without an entry in ``grads`` still decays if masked in.
     """
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
+    c = math.sqrt((1.0 - b2) / bc2)
+    step_size = lr * (1.0 - b1) / (bc1 * c)
+    eps_c = eps / c
     for name, p in params.items():
         g = grads.get(name)
         decay = wd if (decay_mask is None or decay_mask.get(name, False)) else 0.0
         if decay:
-            p -= lr * decay * p
+            p *= 1.0 - lr * decay
         if g is None:
             continue
         mm = m.setdefault(name, np.zeros_like(p))
         vv = v.setdefault(name, np.zeros_like(p))
         mm *= b1
-        mm += (1.0 - b1) * g
+        mm += g
         vv *= b2
-        vv += (1.0 - b2) * g * g
-        p -= lr * (mm / bc1) / (np.sqrt(vv / bc2) + eps)
+        vv += g * g
+        p -= step_size * mm / (np.sqrt(vv) + eps_c)
 
 
 def smooth_images_out_of_place(n, image_hw, channels, smooth_sigma, rng) -> np.ndarray:

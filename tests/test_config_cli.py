@@ -275,6 +275,13 @@ class TestCLI:
         assert main(["gen-world", "--config", str(bad),
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_negative_weight_decay_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SMALL_CFG + "train.ridge_weight_decay = -0.01\n")
+        assert main(["gen-world", "--config", str(bad),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "train.ridge_weight_decay" in capsys.readouterr().err
+
     def test_unknown_flag_exits_2(self, workdir):
         proc = subprocess.run(
             [sys.executable, "-m", "mindalign.cli", "gen-world", "--nope", "x",

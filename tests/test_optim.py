@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mindalign.optim import _BLOCK, AdamW, warmup_cosine_lr
 from mindalign.tensor import ShapeError, Tensor, mul, tensor_sum
@@ -151,11 +153,22 @@ def test_non_contiguous_param_raises():
     assert _state(params, opt) == before
 
 
-def test_non_positive_lr_changes_nothing():
+@pytest.mark.parametrize("lr", [0.0, -0.1, float("nan"), float("inf"), float("-inf")])
+def test_non_positive_lr_changes_nothing(lr):
     params, opt = _three_params()
     before = _state(params, opt)
-    opt.lr = -0.1
-    with pytest.raises(ValueError):
+    opt.lr = lr
+    with pytest.raises(ValueError, match="lr"):
+        opt.step()
+    assert _state(params, opt) == before
+
+
+@pytest.mark.parametrize("weight_decay", [-0.1, float("nan"), float("inf"), float("-inf")])
+def test_bad_weight_decay_changes_nothing(weight_decay):
+    params, opt = _three_params()
+    before = _state(params, opt)
+    opt.weight_decay = weight_decay
+    with pytest.raises(ValueError, match="weight_decay"):
         opt.step()
     assert _state(params, opt) == before
 
@@ -180,3 +193,48 @@ def test_step_allocates_nothing_after_the_first():
     assert peak < 1_000_000
     assert all(opt.m[k] is m and opt.v[k] is v for k, (m, v) in moments.items())
     assert "idle" not in opt.m
+
+
+# -- many steps against the published formula --------------------------------
+
+LONG_SHAPES = {"w": (6, 5), "b": (7,)}
+
+
+@settings(max_examples=5)
+@given(seed=st.integers(0, 2 ** 32 - 1), base_lr=st.floats(1e-4, 1e-1),
+       weight_decay=st.floats(0.0, 0.5))
+def test_long_run_tracks_the_published_formula(seed, base_lr, weight_decay):
+    # The scaled moments round differently from the published update, so the
+    # two drift apart; over 300 steps the drift stays at rounding level
+    # relative to each parameter's scale (an elementwise bound would fail
+    # near zero crossings, where the relative difference has no floor).
+    rng = np.random.default_rng(seed)
+    steps = 300
+    params = {k: Tensor(rng.normal(size=s), requires_grad=True)
+              for k, s in LONG_SHAPES.items()}
+    mask = {"w": True, "b": False}
+    opt = AdamW(params, lr=base_lr, weight_decay=weight_decay, decay_mask=mask)
+    ref = {k: p.data.reshape(-1).tolist() for k, p in params.items()}
+    m = {k: [0.0] * len(r) for k, r in ref.items()}
+    v = {k: [0.0] * len(r) for k, r in ref.items()}
+    for step in range(steps):
+        opt.lr = warmup_cosine_lr(step, steps, base_lr, 0.05)
+        for p in params.values():
+            # one step in five without a gradient; gradients over twelve
+            # decades, down to where eps dominates the denominator
+            p.grad = None if rng.random() < 0.2 else (
+                rng.normal(size=p.shape) * 10.0 ** rng.uniform(-8, 4, size=p.shape))
+        opt.step()
+        for k, p in params.items():
+            decay = weight_decay if mask[k] else 0.0
+            if p.grad is None:
+                ref[k] = [x - opt.lr * decay * x for x in ref[k]]
+                continue
+            for i, g in enumerate(p.grad.reshape(-1).tolist()):
+                ref[k][i], m[k][i], v[k][i] = adamw_reference_step(
+                    ref[k][i], g, m[k][i], v[k][i], step + 1, opt.lr, 0.9, 0.999, 1e-8,
+                    decay)
+    for k, p in params.items():
+        expected = np.array(ref[k])
+        diff = np.abs(p.data.reshape(-1) - expected).max()
+        assert diff <= 1e-13 * np.abs(expected).max(), (k, diff)

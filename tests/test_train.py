@@ -286,6 +286,14 @@ class TestScratch:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    @pytest.mark.parametrize("key, value", [
+        ("lr", 0.0), ("lr", -1e-3), ("lr", float("nan")), ("lr", float("inf")),
+        ("lr", float("-inf")), ("ridge_weight_decay", -1e-2),
+        ("ridge_weight_decay", float("nan")), ("ridge_weight_decay", float("inf"))])
+    def test_bad_lr_or_decay_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"train.{key}"):
+            TrainConfig(**{key: value}).validate()
+
     @pytest.mark.slow
     def test_single_session_desk_run_under_60s(self):
         import time
