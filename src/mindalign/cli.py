@@ -97,11 +97,18 @@ def _load_data(rc: RunConfig):
                  DataError)
 
 
-def _load_checkpoint(rc: RunConfig):
+def _load_checkpoint(rc: RunConfig, world):
+    """The checkpoint, which must have been trained on ``world``."""
     from .model import load_checkpoint
     if not rc.paths["checkpoint"]:
         raise ConfigError("this command needs --checkpoint (or paths.checkpoint)")
-    return _read(load_checkpoint, Path(rc.paths["checkpoint"]), DataError)
+    path = Path(rc.paths["checkpoint"])
+    mp = _read(load_checkpoint, path, DataError)
+    seed = int(mp.meta["world_seed"])
+    if mp.world_cfg != world.config or seed != world.seed:
+        raise DataError(f"{path}: checkpoint was trained on another world (world seed "
+                        f"{seed}) than the data directory's (world seed {world.seed})")
+    return mp
 
 
 def _held_out(rc: RunConfig, datasets):
@@ -145,7 +152,7 @@ def cmd_train(rc: RunConfig) -> int:
         pre = {sid: ds for sid, ds in datasets.items() if sid != held}
         mp, log = pretrain(world, pre, rc.train, rc.model)
     elif rc.command == "finetune":
-        mp, log = finetune(_load_checkpoint(rc), world, _held_out(rc, datasets), k,
+        mp, log = finetune(_load_checkpoint(rc, world), world, _held_out(rc, datasets), k,
                            rc.train)
     else:
         mp, log = train_from_scratch(world, _held_out(rc, datasets), k, rc.train,
@@ -160,7 +167,7 @@ def cmd_eval(rc: RunConfig) -> int:
     from .store import write_arrays
     out = _out_dir(rc)
     world, datasets = _load_data(rc)
-    mp = _load_checkpoint(rc)
+    mp = _load_checkpoint(rc, world)
     ds = _held_out(rc, datasets)
     sid = ds.subject_id
     if sid not in mp.subjects:

@@ -268,11 +268,10 @@ class EncodingModel:
 
     Either the world's true forward model (oracle) or a ridge regression fit
     on the training split with the regularizer chosen by generalized
-    cross-validation, one strength per region. With no more trials than
-    pixels the fit is solved in the dual (Saunders et al., 1998): one
-    eigendecomposition of the trials' n x n Gram matrix gives every
-    candidate's residual in closed form, and only the chosen strength's
-    weights are built. With more trials it takes a thin SVD of the images.
+    cross-validation, one strength per region. The fit is solved in the dual
+    (Saunders et al., 1998) at every trial count: one eigendecomposition of
+    the trials' n x n Gram matrix gives every candidate's residual in closed
+    form, and only the chosen strength's weights are built.
     """
 
     weights: np.ndarray            # [n_voxels, pixel_dim]
@@ -299,50 +298,36 @@ class EncodingModel:
         x_mean = X.mean(axis=0)
         Xc = X - x_mean
         n, p = X.shape
-        # dual: with no more trials than pixels, the n x n Gram matrix's
-        # complete eigenbasis Q gives every residual as a sum of non-negative
-        # terms; with more trials the thin SVD is the smaller factorization,
-        # but its U does not span the trials, so each residual is formed
-        dual = n <= p
-        if dual:
-            e, Q = np.linalg.eigh(Xc @ Xc.T)
-            e = np.maximum(e, 0.0)
-        else:
-            Q, s, Vt = np.linalg.svd(Xc, full_matrices=False)
-            e = s * s
+        # the Gram matrix's complete eigenbasis Q spans the trials, so every
+        # residual is a sum of non-negative terms
+        e, Q = np.linalg.eigh(Xc @ Xc.T)
+        e = np.maximum(e, 0.0)
         weights = np.zeros((Y.shape[1], p))
         intercept = np.zeros(Y.shape[1])
         strengths: dict[str, float] = {}
         # GCV degenerates at interpolation (centered X and Y share a
         # hyperplane, so the residual vanishes faster than the df penalty);
-        # candidates that nearly exhaust the degrees of freedom are skipped
-        max_edf = 0.98 * min(n - 1, e.size)
+        # candidates that nearly exhaust the degrees of freedom (the centered
+        # images' rank, min(n - 1, p) at most) are skipped
+        max_edf = 0.98 * min(n - 1, p)
         for name, idx in regions.items():
             Yr = Y[:, idx]
             y_mean = Yr.mean(axis=0)
             Yc = Yr - y_mean
             QtY = Q.T @ Yc
-            if dual:
-                energy = (QtY * QtY).sum(axis=1)
+            energy = (QtY * QtY).sum(axis=1)
             best_lam, best_gcv = None, np.inf
             for lam in _GCV_LAMBDAS:
-                shrink = e / (e + lam)
-                edf = shrink.sum()
+                edf = (e / (e + lam)).sum()
                 if edf > max_edf:
                     continue
-                if dual:
-                    rss = ((lam / (e + lam)) ** 2 * energy).sum()
-                else:
-                    rss = ((Yc - Q @ (shrink[:, None] * QtY)) ** 2).sum()
+                rss = ((lam / (e + lam)) ** 2 * energy).sum()
                 gcv = rss / n / (1.0 - edf / n) ** 2
                 if gcv < best_gcv:
                     best_gcv, best_lam = gcv, float(lam)
             if best_lam is None:
                 best_lam = float(_GCV_LAMBDAS[-1])
-            if dual:
-                coef = Xc.T @ (Q @ (QtY / (e + best_lam)[:, None]))
-            else:
-                coef = Vt.T @ ((s / (e + best_lam))[:, None] * QtY)
+            coef = Xc.T @ (Q @ (QtY / (e + best_lam)[:, None]))
             weights[idx] = coef.T
             intercept[idx] = y_mean - x_mean @ coef
             strengths[name] = best_lam
@@ -363,10 +348,8 @@ class EncodingModel:
 
 
 def brain_correlation(recons: np.ndarray, true_voxels: np.ndarray,
-                      enc: EncodingModel,
-                      regions: dict[str, np.ndarray] | None = None) -> dict[str, float]:
+                      enc: EncodingModel) -> dict[str, float]:
     """Mean per-voxel correlation between predicted and true activity, by region."""
-    regions = enc.regions if regions is None else regions
     preds = enc.predict(recons)
     if preds.shape != np.asarray(true_voxels).shape:
         raise DataError("prediction/voxel shape mismatch")
@@ -377,7 +360,7 @@ def brain_correlation(recons: np.ndarray, true_voxels: np.ndarray,
     ok = denom > 0
     r[ok] = (pc * tc).sum(axis=0)[ok] / denom[ok]
     out = {}
-    for name, idx in regions.items():
+    for name, idx in enc.regions.items():
         if idx.size == 0:
             raise DataError(f"region {name} has no voxels")
         out[name] = float(r[idx].mean())

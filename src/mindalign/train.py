@@ -82,6 +82,8 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1 and batch sizes >= 2")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"train.lr must be finite and positive, got {self.lr}")
+        if not 0 <= self.warmup_frac <= 1:  # also refuses nan; inf is above 1
+            raise ConfigError(f"train.warmup_frac must lie in [0, 1], got {self.warmup_frac}")
         if not (math.isfinite(self.ridge_weight_decay) and self.ridge_weight_decay >= 0):
             raise ConfigError(f"train.ridge_weight_decay must be finite and non-negative, "
                               f"got {self.ridge_weight_decay}")
@@ -167,15 +169,15 @@ def _train_loop(world: WorldSpec, datasets: dict[str, SubjectDataset],
     log = TrainLog()
     it = 0
     for epoch in range(cfg.epochs):
-        orders = {sid: seeds.rng(master, "shuffle", epoch, sid).permutation(train_idx[sid])
-                  for sid in subject_ids}
+        # shuffled positions into each subject's training trials
+        orders = {sid: seeds.rng(master, "shuffle", epoch, sid).permutation(len(idx))
+                  for sid, idx in train_idx.items()}
         for step in range(iters_per_epoch):
             phase = loss_phase(it, total_iters)
-            batch_rows = {sid: orders[sid][step * per_subject:(step + 1) * per_subject]
-                          for sid in subject_ids}
-            tok_true = np.concatenate([
-                tok_train[sid][np.searchsorted(train_idx[sid], batch_rows[sid])]
-                for sid in subject_ids])
+            batch_pos = {sid: orders[sid][step * per_subject:(step + 1) * per_subject]
+                         for sid in subject_ids}
+            batch_rows = {sid: train_idx[sid][batch_pos[sid]] for sid in subject_ids}
+            tok_true = np.concatenate([tok_train[sid][batch_pos[sid]] for sid in subject_ids])
             part = "forward"
             try:
                 loss_parts = _batch_losses(world, datasets, mp, cfg, phase, batch_rows,

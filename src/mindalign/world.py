@@ -124,7 +124,6 @@ class SubjectDataset:
     voxels: np.ndarray         # [n_trials, n_voxels]
     image_ids: np.ndarray      # [n_trials] int64
     session_index: np.ndarray  # [n_trials] int64, -1 for shared test
-    is_shared: np.ndarray      # [n_trials] bool
     normalized: bool = False
 
     @property
@@ -134,6 +133,11 @@ class SubjectDataset:
     @property
     def n_voxels(self) -> int:
         return self.voxels.shape[1]
+
+    @property
+    def is_shared(self) -> np.ndarray:
+        """The shared test split: the trials of session -1."""
+        return self.session_index == -1
 
     @property
     def train_mask(self) -> np.ndarray:
@@ -154,13 +158,13 @@ class SubjectDataset:
     def restrict_sessions(self, k: int) -> "SubjectDataset":
         """First k sessions of training trials; shared test kept whole."""
         self.check_sessions(k)
-        keep = self.is_shared | (self.session_index < k)
+        # the shared trials' session -1 is below every k; mask indexing copies
+        keep = self.session_index < k
         return SubjectDataset(
             subject_id=self.subject_id,
-            voxels=self.voxels[keep].copy(),
-            image_ids=self.image_ids[keep].copy(),
-            session_index=self.session_index[keep].copy(),
-            is_shared=self.is_shared[keep].copy(),
+            voxels=self.voxels[keep],
+            image_ids=self.image_ids[keep],
+            session_index=self.session_index[keep],
             normalized=self.normalized,
         )
 
@@ -291,15 +295,13 @@ def generate_dataset(world: WorldSpec, subject_id: str, n_sessions: int | None =
         np.repeat(np.arange(n_sessions, dtype=np.int64), trials_per_session),
         np.full(cfg.n_shared, -1, dtype=np.int64),
     ])
-    is_shared = np.concatenate([
-        np.zeros(n_train, dtype=bool), np.ones(cfg.n_shared, dtype=bool)])
 
     pixels = world.images[image_ids].reshape(len(image_ids), -1)
     clean = pixels @ forward.T
     noise = seeds.rng(seed, "dataset-noise", subject_id).normal(size=clean.shape)
     voxels = clean + cfg.noise_sigma * noise
     return SubjectDataset(subject_id=subject_id, voxels=voxels, image_ids=image_ids,
-                          session_index=session_index, is_shared=is_shared)
+                          session_index=session_index)
 
 
 def normalize(dataset: SubjectDataset) -> SubjectDataset:
@@ -318,7 +320,6 @@ def normalize(dataset: SubjectDataset) -> SubjectDataset:
         voxels=(dataset.voxels - mean) / std,
         image_ids=dataset.image_ids.copy(),
         session_index=dataset.session_index.copy(),
-        is_shared=dataset.is_shared.copy(),
         normalized=True,
     )
 
@@ -474,4 +475,4 @@ def load_dataset_dir(data_dir: Path, config: WorldConfig
     return world, {sid: SubjectDataset(
         subject_id=sid, voxels=arrays[f"voxels.{sid}"].astype(np.float64),
         image_ids=arrays[f"image_ids.{sid}"], session_index=arrays[f"session_index.{sid}"],
-        is_shared=arrays[f"split.{sid}"], normalized=True) for sid in sids}
+        normalized=True) for sid in sids}

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mindalign.cli import _build_parser, main
-from mindalign.config import echo_config, parse_config
+from mindalign.config import echo_config, load_config, parse_config
 from mindalign.errors import ConfigError
 from mindalign.model import load_checkpoint, save_checkpoint
 from mindalign.store import read_arrays, write_arrays
@@ -122,6 +122,12 @@ class TestConfig:
         assert a.train.seed != b.train.seed
         assert a.eval.seed != b.eval.seed
         assert a.world_seed != b.world_seed
+
+    def test_reference_config_echoes_byte_for_byte(self):
+        # the committed reference run's echo names every key the config has:
+        # a key dropped or renamed fails to parse it or to reproduce it
+        path = Path(__file__).resolve().parents[1] / "reference" / "config.txt"
+        assert echo_config(load_config(path)) == path.read_text(encoding="utf-8")
 
     def test_overrides(self, tmp_path):
         (tmp_path / "c.cfg").write_text(SMALL_CFG)
@@ -709,4 +715,57 @@ def test_numpy_floating_point_error_exits_4_in_one_line(tmp_path, capsys, epochs
                  "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert err == f"numeric error: {where}\n"
+    assert not (out / "checkpoint.me2c").exists()
+
+
+@pytest.mark.parametrize("value", ["1e308", "-0.5", "3.0"])
+def test_warmup_fraction_outside_the_unit_interval_exits_2(workdir, tmp_path, capsys,
+                                                           value):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(SMALL_CFG.replace("train.epochs = 2", "train.epochs = 1")
+                   + f"train.warmup_frac = {value}\n")
+    out = tmp_path / "s"
+    assert main(["scratch", "--config", str(cfg), "--data", str(workdir / "data"),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: train.warmup_frac must lie in [0, 1]")
+    assert err.count("\n") == 1
+    assert not (out / "checkpoint.me2c").exists()
+
+
+@pytest.fixture(scope="module")
+def scratch_checkpoint(workdir):
+    assert main(["scratch", "--config", str(workdir / "small.cfg"), "--subject", "s0",
+                 "--data", str(workdir / "data"), "--out", str(workdir / "scr0")]) == 0
+    return workdir / "scr0" / "checkpoint.me2c"
+
+
+@pytest.fixture(scope="module")
+def other_worlds(workdir):
+    """Data directories of two other worlds: seed 33's s0 has as many voxels
+    as seed 11's, seed 12's has fewer."""
+    for seed in (33, 12):
+        assert main(["gen-data", "--config", str(workdir / "small.cfg"), "--seed", str(seed),
+                     "--out", str(workdir / f"data{seed}")]) == 0
+    return {seed: workdir / f"data{seed}" for seed in (33, 12)}
+
+
+@pytest.mark.parametrize("command", ["eval", "finetune"])
+@pytest.mark.parametrize("seed", [33, 12])
+def test_checkpoint_of_another_world_exits_3(workdir, checkpoint, scratch_checkpoint,
+                                             other_worlds, tmp_path, capsys, command, seed):
+    # eval reads a model of s0, finetune a pretrained one without s2
+    ck, sid = (scratch_checkpoint, "s0") if command == "eval" else (checkpoint, "s2")
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert main([command, "--config", str(workdir / "small.cfg"), "--subject", sid,
+                 "--data", str(other_worlds[seed]), "--checkpoint", str(ck),
+                 "--out", str(out)]) == 3
+    ck_seed = load_checkpoint(ck).meta["world_seed"]
+    data_world, _ = load_dataset_dir(other_worlds[seed], parse_config(SMALL_CFG).world)
+    err = capsys.readouterr().err
+    assert err == (f"data error: {ck}: checkpoint was trained on another world (world "
+                   f"seed {ck_seed}) than the data directory's (world seed "
+                   f"{data_world.seed})\n")
+    assert not (out / "report.txt").exists()
     assert not (out / "checkpoint.me2c").exists()

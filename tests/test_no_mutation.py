@@ -20,7 +20,7 @@ from mindalign.evaluate import EvalConfig, evaluate_model, reconstruct, run_scal
 from mindalign.model import init_model, save_checkpoint
 from mindalign.tensor import Tensor
 from mindalign.train import TrainConfig, pretrain, train_from_scratch
-from mindalign.world import generate_dataset, normalize
+from mindalign.world import SubjectDataset, generate_dataset, normalize
 
 
 def fingerprint(*args) -> str:
@@ -94,6 +94,23 @@ def test_fingerprint_sees_an_in_place_edit(model):
 def test_normalize(tiny_world, subject, seed):
     raw = generate_dataset(tiny_world, tiny_world.subject_ids[subject], seed=seed)
     assert_unmutated(normalize, raw)
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(subject=st.integers(0, 3), k=st.integers(1, 4), seed=SEEDS)
+def test_restrict_sessions_and_normalize_return_fresh_arrays(tiny_world, subject, k, seed):
+    # what they return shares no memory with their input, so a caller's edit
+    # of the result cannot reach the dataset it came from
+    raw = generate_dataset(tiny_world, tiny_world.subject_ids[subject], seed=seed)
+    assert_unmutated(SubjectDataset.restrict_sessions, raw, k)
+    inputs = [getattr(raw, f.name) for f in dataclasses.fields(raw)]
+    for out in (raw.restrict_sessions(k), normalize(raw)):
+        for f in dataclasses.fields(out):
+            value = getattr(out, f.name)
+            if isinstance(value, np.ndarray):
+                assert not any(np.shares_memory(value, x) for x in inputs
+                               if isinstance(x, np.ndarray)), f.name
+        np.testing.assert_array_equal(out.is_shared, out.session_index == -1)
 
 
 @settings(derandomize=True, deadline=None, max_examples=5)

@@ -288,7 +288,6 @@ class TestNormalize:
             voxels=np.column_stack([np.ones(6), np.arange(6.0)]),
             image_ids=np.arange(6, dtype=np.int64),
             session_index=np.zeros(6, dtype=np.int64),
-            is_shared=np.zeros(6, dtype=bool),
         )
         nd = normalize(d)
         assert np.all(np.isfinite(nd.voxels))
@@ -299,7 +298,6 @@ class TestNormalize:
             voxels=np.ones((2, 3)),
             image_ids=np.arange(2, dtype=np.int64),
             session_index=np.full(2, -1, dtype=np.int64),
-            is_shared=np.ones(2, dtype=bool),
         )
         with pytest.raises(DataError):
             normalize(d)
