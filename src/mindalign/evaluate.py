@@ -240,11 +240,16 @@ def two_way_identification(recons: np.ndarray, truths: np.ndarray,
     features and with every other recon; each strictly greater own-match is a
     win. Chance is 0.5.
     """
-    n = recons.shape[0]
+    return _two_way_score(_feature_matrix(truths, feature_map, world),
+                          _feature_matrix(recons, feature_map, world))
+
+
+def _two_way_score(ft: np.ndarray, fr: np.ndarray) -> float:
+    """`two_way_identification` of truth features ``ft`` against recon
+    features ``fr``, one row per item."""
+    n = fr.shape[0]
     if n < 2:
         raise DataError("two-way identification needs at least 2 items")
-    ft = _feature_matrix(truths, feature_map, world)
-    fr = _feature_matrix(recons, feature_map, world)
     ft = ft - ft.mean(axis=1, keepdims=True)
     fr = fr - fr.mean(axis=1, keepdims=True)
     ft_norm = np.linalg.norm(ft, axis=1)
@@ -417,14 +422,15 @@ def _protocol(eval_cfg: EvalConfig, n_test: int) -> dict[str, object]:
             "n_test": n_test}
 
 
-def _image_metrics(images: np.ndarray, truths: np.ndarray,
+def _image_metrics(images: np.ndarray, truths: np.ndarray, truth_tokens: np.ndarray,
                    world: WorldSpec) -> dict[str, float]:
-    """Mean pixcorr and ssim, and both two-way identifications, of images vs truths."""
+    """Mean pixcorr and ssim, and both two-way identifications, of images vs
+    truths; ``truth_tokens`` are the truths' `token_targets`."""
     n = truths.shape[0]
     return {"pixcorr": float(np.mean([pixcorr(images[i], truths[i]) for i in range(n)])),
             "ssim": float(np.mean(ssim(images, truths))),
             "twoway_low": two_way_identification(images, truths, "lowlevel", world),
-            "twoway_high": two_way_identification(images, truths, "highlevel", world)}
+            "twoway_high": _two_way_score(truth_tokens, token_targets(world, images))}
 
 
 def evaluate_model(mp: ModelParams, world: WorldSpec, dataset: SubjectDataset,
@@ -441,7 +447,8 @@ def evaluate_model(mp: ModelParams, world: WorldSpec, dataset: SubjectDataset,
     test_imgs = world.images[dataset.image_ids[dataset.is_shared]]
 
     emb = retrieval_project(mp, backbone_forward(mp, ridge_forward(mp, sid, test_vox)))
-    temb = target_embed(mp, token_targets(world, test_imgs))
+    test_tokens = token_targets(world, test_imgs)
+    temb = target_embed(mp, test_tokens)
     metrics = dict(retrieval_eval(emb.data, temb, eval_cfg.pool_size,
                                   eval_cfg.repetitions,
                                   seed=seeds.derive(eval_cfg.seed, "retrieval")))
@@ -450,7 +457,7 @@ def evaluate_model(mp: ModelParams, world: WorldSpec, dataset: SubjectDataset,
     if include_reconstruction:
         recons = reconstruct(mp, world, test_vox, sid,
                              seed=seeds.derive(eval_cfg.seed, "recon"))["final"]
-        metrics.update(_image_metrics(recons, test_imgs, world))
+        metrics.update(_image_metrics(recons, test_imgs, test_tokens, world))
         if eval_cfg.include_brain_corr:
             enc = EncodingModel.fit_from_dataset(world, dataset)
             for region, r in brain_correlation(recons, test_vox, enc).items():
@@ -473,7 +480,8 @@ def random_baseline_report(world: WorldSpec, dataset: SubjectDataset,
                                seeds.rng(eval_cfg.seed, "baseline-images"))
     metrics = {"image_retrieval": 1.0 / eval_cfg.pool_size,
                "brain_retrieval": 1.0 / eval_cfg.pool_size,
-               **_image_metrics(rand_imgs, test_imgs, world)}
+               **_image_metrics(rand_imgs, test_imgs, token_targets(world, test_imgs),
+                                world)}
     return EvalReport(metrics=metrics, protocol=_protocol(eval_cfg, n))
 
 

@@ -302,6 +302,11 @@ def expected_parameter_count(world_cfg: WorldConfig, mcfg: ModelConfig,
 
 # -- forward passes -------------------------------------------------------
 
+# sampling steps whose noise `prior_sample` draws and projects in one block:
+# at the desk model, 8 was about 10% faster than one step per block and as
+# fast as all steps at once, which holds 26 MB
+_NOISE_BLOCK = 8
+
 
 def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     """x @ W + b with W held [in, out] (checkpoint files hold [out, in]).
@@ -365,14 +370,20 @@ def _cond_embed(mp: ModelParams, cond_flat: Tensor) -> Tensor:
     return linear(c, p["prior.cond.fc2.W"], p["prior.cond.fc2.b"])
 
 
+def _res_blocks(mp: ModelParams, h: Tensor) -> Tensor:
+    """The denoiser's residual blocks on its hidden state. [B, H] -> [B, H]."""
+    p = mp.params
+    for i in range(mp.mcfg.denoiser_blocks):
+        h = add(h, gelu(linear(h, p[f"prior.res{i}.W"], p[f"prior.res{i}.b"])))
+    return h
+
+
 def _denoise_core(mp: ModelParams, x_t: Tensor, t: np.ndarray, cemb: Tensor) -> Tensor:
     p = mp.params
     temb = tensor_slice(p["prior.temb"], np.asarray(t, dtype=np.int64))
     h = gelu(linear(concat([x_t, temb, cemb], axis=1),
                     p["prior.inp.W"], p["prior.inp.b"]))
-    for i in range(mp.mcfg.denoiser_blocks):
-        h = add(h, gelu(linear(h, p[f"prior.res{i}.W"], p[f"prior.res{i}.b"])))
-    return linear(h, p["prior.out.W"], p["prior.out.b"])
+    return linear(_res_blocks(mp, h), p["prior.out.W"], p["prior.out.b"])
 
 
 def denoise(mp: ModelParams, x_t, t, cond_tokens) -> Tensor:
@@ -400,27 +411,72 @@ def prior_train_step(mp: ModelParams, backbone_tokens, target_tokens, t,
 def prior_sample(mp: ModelParams, backbone_tokens, seed: int) -> np.ndarray:
     """Ancestral sampling from pure noise, deterministic given seed.
 
-    Each step the denoiser predicts the clean embedding and the standard
-    posterior for that prediction produces the next (less noisy) state. With
-    a single step this degenerates to one denoiser call on pure noise.
+    Each step the denoiser predicts the clean embedding and the DDPM
+    posterior for that prediction (Ho et al., 2020) produces the next, less
+    noisy state: ``x_{t-1} = a_t x0_t + b_t x_t + s_t z_t``. With a single
+    step this degenerates to one denoiser call on pure noise.
+
+    The recursion runs in the denoiser's hidden space. The input layer sees
+    the state only through ``u_t = x_t @ W_x``, where ``W_x`` is the first
+    ``token_dim`` rows of ``prior.inp.W``, and the posterior is linear in
+    the prediction ``x0_t = h_t @ W_out + b_out`` and the state, so
+
+        u_{t-1} = a_t (h_t @ (W_out @ W_x) + b_out @ W_x) + b_t u_t + s_t (z_t @ W_x).
+
+    In exact arithmetic this is the token-space sampler; in floating point
+    it differs by rounding. Only the ``t = 0`` prediction is mapped back to
+    tokens. The products that no step changes are built once per call:
+    ``W_out @ W_x``, ``b_out @ W_x``, the conditioning's input term
+    ``cemb @ W_c + b_in`` and the time-embedding table ``temb @ W_t``. The
+    noise, the stream's ``n x token_dim`` draws in order, is drawn and
+    projected ``_NOISE_BLOCK`` steps at a time. Per step and row this costs
+    ``H * H`` multiply-adds for the fold instead of ``H * (D + d_temb +
+    d_cond)`` in and ``H * D`` out (H the hidden width, D the token
+    dimension), plus ``H * D`` for the noise: cheaper whenever
+    ``H < D + d_temb + d_cond``, which holds in every shipped config.
+
+    A numeric failure inside the loop is re-raised with its type and
+    ``(sampling step t of T)`` appended.
     """
+    p = mp.params
     cond = _flat_tokens(mp, backbone_tokens)
-    cemb = Tensor(_cond_embed(mp, cond).data)
-    n = cond.shape[0]
+    n, D, T = cond.shape[0], mp.token_dim, mp.mcfg.t_steps
+    W_in = p["prior.inp.W"].data
+    W_x = Tensor(W_in[:D])
+    H = W_x.shape[1]
+    temb_in = matmul(p["prior.temb"], Tensor(W_in[D:D + mp.mcfg.d_temb])).data
+    cond_in = linear(Tensor(_cond_embed(mp, cond).data),
+                     Tensor(W_in[D + mp.mcfg.d_temb:]), p["prior.inp.b"])
+    fold_W = matmul(p["prior.out.W"], W_x)
+    fold_b = matmul(Tensor(p["prior.out.b"].data[None, :]), W_x)
     rng = seeds.rng(seed, "prior-sample")
-    x = rng.normal(size=(n, mp.token_dim))
+
+    def projected_draws():
+        # the initial state, then the noise of steps T-1 .. 1, each [n, H]
+        for start in range(0, T, _NOISE_BLOCK):
+            k = min(_NOISE_BLOCK, T - start)
+            # no local holds a block, so the last one is freed before the next
+            yield from matmul(Tensor(rng.standard_normal((k * n, D))),
+                              W_x).data.reshape(k, n, H)
+
+    draws = projected_draws()
     ab = mp.alpha_bar
-    for t in range(mp.mcfg.t_steps - 1, 0, -1):
-        t_arr = np.full(n, t, dtype=np.int64)
-        x0 = _denoise_core(mp, Tensor(x), t_arr, cemb).data
-        ab_t, ab_prev = ab[t], ab[t - 1]
-        alpha_t = ab_t / ab_prev
-        beta_t = 1.0 - alpha_t
-        mean = (np.sqrt(ab_prev) * beta_t / (1.0 - ab_t)) * x0 \
-            + (np.sqrt(alpha_t) * (1.0 - ab_prev) / (1.0 - ab_t)) * x
-        var = (1.0 - ab_prev) / (1.0 - ab_t) * beta_t
-        x = mean + np.sqrt(max(var, 0.0)) * rng.normal(size=x.shape)
-    x0 = _denoise_core(mp, Tensor(x), np.zeros(n, dtype=np.int64), cemb).data
+    u = next(draws)
+    for t in range(T - 1, -1, -1):
+        try:
+            h = _res_blocks(mp, gelu(add(Tensor(u + temb_in[t]), cond_in)))
+            if t == 0:
+                x0 = linear(h, p["prior.out.W"], p["prior.out.b"]).data
+                break
+            ab_t, ab_prev = ab[t], ab[t - 1]
+            alpha_t = ab_t / ab_prev
+            beta_t = 1.0 - alpha_t
+            var = (1.0 - ab_prev) / (1.0 - ab_t) * beta_t
+            u = (np.sqrt(ab_prev) * beta_t / (1.0 - ab_t)) * linear(h, fold_W, fold_b).data \
+                + (np.sqrt(alpha_t) * (1.0 - ab_prev) / (1.0 - ab_t)) * u \
+                + np.sqrt(max(var, 0.0)) * next(draws)
+        except FloatingPointError as exc:  # NonFiniteError included
+            raise type(exc)(f"{exc} (sampling step {t} of {T})") from exc
     return x0.reshape(n, mp.world_cfg.n_tokens, mp.world_cfg.d_token)
 
 

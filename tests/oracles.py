@@ -369,3 +369,34 @@ def pinv_svd(a):
     s = np.divide(1, s, where=large, out=s)
     s[~large] = 0
     return np.matmul(vt.T, np.multiply(s[:, None], u.T))
+
+
+def prior_sample_token_space(mp, backbone_tokens, seed: int) -> np.ndarray:
+    """Ancestral DDPM sampling with the state kept in token space: one full
+    denoiser call per step, one ``normal`` draw per step, the posterior
+    mean and noise applied to the ``[n, token_dim]`` tokens.
+
+    Not independent of the package: the form ``model.prior_sample`` had
+    before its recursion moved to the denoiser's hidden space. It calls the
+    package's training-path denoiser, so it checks the sampler's algebra
+    and noise stream, not the denoiser.
+    """
+    from mindalign import seeds
+    from mindalign.model import denoise
+
+    cond = np.asarray(backbone_tokens, dtype=np.float64)
+    n = cond.shape[0]
+    rng = seeds.rng(seed, "prior-sample")
+    x = rng.normal(size=(n, mp.token_dim))
+    ab = mp.alpha_bar
+    for t in range(mp.mcfg.t_steps - 1, 0, -1):
+        x0 = denoise(mp, x, np.full(n, t, dtype=np.int64), cond).data
+        ab_t, ab_prev = ab[t], ab[t - 1]
+        alpha_t = ab_t / ab_prev
+        beta_t = 1.0 - alpha_t
+        mean = (np.sqrt(ab_prev) * beta_t / (1.0 - ab_t)) * x0 \
+            + (np.sqrt(alpha_t) * (1.0 - ab_prev) / (1.0 - ab_t)) * x
+        var = (1.0 - ab_prev) / (1.0 - ab_t) * beta_t
+        x = mean + np.sqrt(max(var, 0.0)) * rng.normal(size=x.shape)
+    x0 = denoise(mp, x, np.zeros(n, dtype=np.int64), cond).data
+    return x0.reshape(n, mp.world_cfg.n_tokens, mp.world_cfg.d_token)

@@ -769,3 +769,23 @@ def test_checkpoint_of_another_world_exits_3(workdir, checkpoint, scratch_checkp
                    f"{data_world.seed})\n")
     assert not (out / "report.txt").exists()
     assert not (out / "checkpoint.me2c").exists()
+
+
+def test_sampling_overflow_exits_4_naming_op_and_step(workdir, scratch_checkpoint, tmp_path,
+                                                      capsys):
+    # the denoiser's hidden-path weights scaled to 1e38, within float32, so
+    # the checkpoint saves; their products grow each sampling step until one
+    # overflows
+    mp = load_checkpoint(scratch_checkpoint)
+    for name in ("prior.inp.W", "prior.res0.W", "prior.out.W"):
+        w = mp.params[name].data
+        w *= 1e38 / np.abs(w).max()
+    save_checkpoint(mp, tmp_path / "big.me2c")
+    capsys.readouterr()
+    out = tmp_path / "e"
+    assert main(["eval", "--config", str(workdir / "small.cfg"), "--subject", "s0",
+                 "--data", str(workdir / "data"), "--checkpoint", str(tmp_path / "big.me2c"),
+                 "--out", str(out)]) == 4
+    assert capsys.readouterr().err == ("numeric error: overflow encountered in matmul "
+                                       "(sampling step 1 of 4)\n")
+    assert not (out / "report.txt").exists()

@@ -28,7 +28,13 @@ from mindalign.evaluate import (
 )
 from mindalign.model import init_model
 from mindalign.train import TrainConfig
-from mindalign.world import WorldConfig, generate_dataset, generate_world, normalize
+from mindalign.world import (
+    WorldConfig,
+    generate_dataset,
+    generate_world,
+    normalize,
+    token_targets,
+)
 
 from oracles import (
     box_blur_naive,
@@ -233,6 +239,12 @@ class TestTwoWay:
                                        tiny_world)
         assert score in (0.0, 0.5, 1.0)
 
+    @pytest.mark.parametrize("feature_map", ["lowlevel", "highlevel"])
+    def test_one_item_rejected(self, tiny_world, feature_map):
+        imgs = tiny_world.images[:1]
+        with pytest.raises(DataError, match="at least 2 items"):
+            two_way_identification(imgs, imgs, feature_map, tiny_world)
+
     def test_constant_features_rejected(self, tiny_world):
         imgs = np.full((4, 8, 8, 3), 0.3)
         with pytest.raises(DataError):
@@ -424,6 +436,26 @@ class TestEvaluateModel:
             weights=weights, intercept=intercept, regions=regions, reg_strength=strengths))
         for region, r in want.items():
             assert abs(rep.metrics[f"brain_corr_{region}"] - r) <= 1e-12, region
+
+    def test_truth_tokens_computed_once(self, tiny_world, tiny_datasets, tiny_mcfg,
+                                        monkeypatch):
+        # the retrieval targets and the high-level two-way score share one
+        # token_targets call on the truths; the recons take the other
+        ds = tiny_datasets["s0"]
+        mp = init_model(tiny_world.config, tiny_mcfg, {"s0": ds.n_voxels}, seed=4)
+        calls = []
+
+        def counted(world, images):
+            calls.append(images)
+            return token_targets(world, images)
+
+        monkeypatch.setattr(evaluate_mod, "token_targets", counted)
+        rep = evaluate_model(mp, tiny_world, ds, EvalConfig(pool_size=16, repetitions=2))
+        truths = tiny_world.images[ds.image_ids[ds.is_shared]]
+        assert len(calls) == 2
+        assert np.array_equal(calls[0], truths) and calls[1] is rep.recons
+        assert rep.metrics["twoway_high"] == two_way_identification(
+            rep.recons, truths, "highlevel", tiny_world)
 
     def test_retrieval_only_when_reconstruction_excluded(self, tiny_world,
                                                          tiny_datasets, tiny_mcfg):

@@ -5,11 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mindalign import seeds
-from mindalign.errors import ConfigError, DataError
+from mindalign.config import parse_config
+from mindalign.errors import ConfigError, DataError, NonFiniteError
 from mindalign.model import (
     ModelConfig,
     add_subject,
@@ -32,6 +33,11 @@ from mindalign.store import read_arrays
 from mindalign.tensor import ShapeError, Tensor, add, gradcheck, mse_loss
 from mindalign.train import TrainConfig, finetune
 from mindalign.world import WorldConfig, generate_world, token_targets
+
+from conftest import TINY_MODEL, TINY_WORLD
+from oracles import prior_sample_token_space
+from test_acceptance import SCALE_MODEL, SCALE_WORLD
+from test_config_cli import SMALL_CFG
 
 WCFG = WorldConfig(image_hw=8, channels=3, n_tokens=8, d_token=32, vae_hw=4,
                    n_subjects=3, voxels_min=40, voxels_max=80, n_sessions=4,
@@ -189,6 +195,71 @@ class TestPrior:
         noise = seeds.rng(4, "prior-sample").normal(size=(2, WCFG.token_dim))
         direct = denoise(m, noise, np.zeros(2, dtype=np.int64), toks).data
         np.testing.assert_allclose(out.reshape(2, -1), direct, atol=1e-12)
+
+
+def _random_cond(world_cfg, n, seed=0):
+    return np.random.default_rng(seed).normal(size=(n, world_cfg.n_tokens, world_cfg.d_token))
+
+
+def _assert_matches_token_space(m, cond, seed):
+    out = prior_sample(m, cond, seed=seed)
+    ref = prior_sample_token_space(m, cond, seed)
+    assert out.shape == ref.shape == (cond.shape[0], m.world_cfg.n_tokens,
+                                      m.world_cfg.d_token)
+    bound = 1e-12 * np.abs(ref).max(initial=0.0)
+    assert np.abs(out - ref).max(initial=0.0) <= bound
+
+
+_SMALL = parse_config(SMALL_CFG)
+SHIPPED_SHAPES = {"tiny": (TINY_WORLD, TINY_MODEL), "SMALL_CFG": (_SMALL.world, _SMALL.model),
+                  "scale": (SCALE_WORLD, SCALE_MODEL)}
+
+
+class TestHiddenSpaceSampler:
+    """`prior_sample` runs the posterior recursion on ``x_t @ W_x``; it must
+    be the token-space sampler up to rounding, on the same noise stream."""
+
+    @pytest.mark.parametrize("rows", [0, 1, 16])
+    @pytest.mark.parametrize("t_steps", [1, 2, 8])
+    @pytest.mark.parametrize("shape", sorted(SHIPPED_SHAPES))
+    def test_matches_token_space_sampler(self, shape, t_steps, rows):
+        world_cfg, mcfg = SHIPPED_SHAPES[shape]
+        m = init_model(world_cfg, ModelConfig(**{**mcfg.__dict__, "t_steps": t_steps}),
+                       {"a": 10}, seed=3)
+        _assert_matches_token_space(m, _random_cond(world_cfg, rows), seed=8)
+
+    @settings(max_examples=12)
+    @given(hidden=st.integers(2, 30), blocks=st.integers(1, 2), t_steps=st.integers(1, 12),
+           rows=st.integers(0, 5), seed=st.integers(0, 2 ** 16))
+    @example(hidden=13, blocks=1, t_steps=9, rows=3, seed=1)
+    @example(hidden=15, blocks=2, t_steps=9, rows=3, seed=1)
+    def test_exact_on_both_sides_of_the_cost_crossover(self, hidden, blocks, t_steps, rows,
+                                                       seed):
+        # D + d_temb + d_cond = 8 + 2 + 4 = 14: past it the fold costs more
+        # than the token-space step, but it must still be the same sampler
+        world_cfg = WorldConfig(n_tokens=2, d_token=4, vae_hw=4)
+        mcfg = ModelConfig(h=8, t_steps=t_steps, d_temb=2, d_cond=4,
+                           denoiser_hidden=hidden, denoiser_blocks=blocks)
+        m = init_model(world_cfg, mcfg, {"a": 3}, seed=seed)
+        _assert_matches_token_space(m, _random_cond(world_cfg, rows, seed), seed)
+
+    @pytest.mark.parametrize("k, n", [(1, 3), (8, 5), (3, 0), (7, 50)])
+    def test_block_draw_is_successive_per_step_draws(self, k, n):
+        block = seeds.rng(9, "prior-sample").standard_normal((k * n, 24))
+        rng = seeds.rng(9, "prior-sample")
+        steps = np.concatenate([rng.normal(size=(n, 24)) for _ in range(k)])
+        assert block.tobytes() == steps.tobytes()
+
+    @pytest.mark.parametrize("over", ["ignore", "raise"])
+    def test_numeric_failure_names_the_sampling_step(self, over):
+        m = init_model(TINY_WORLD, TINY_MODEL, {"a": 10}, seed=1)
+        m.params["prior.res0.W"].data *= 1e300
+        # a finite product at the first step, an overflowing one at the next
+        error, message = {"ignore": (NonFiniteError, "non-finite value in matmul output"),
+                          "raise": (FloatingPointError, "overflow encountered in matmul")}[over]
+        with np.errstate(over=over), pytest.raises(
+                error, match=rf"^{message} \(sampling step 6 of 8\)$"):
+            prior_sample(m, _random_cond(TINY_WORLD, 4), seed=2)
 
 
 class TestHeads:
