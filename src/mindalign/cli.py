@@ -10,14 +10,22 @@ error, 4 numeric error.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from . import seeds
 from .config import RunConfig, echo_config, load_config
 from .errors import ConfigError, DataError
+from .evaluate import evaluate_model, run_scaling, save_image
+from .model import load_checkpoint, save_checkpoint
+from .store import write_arrays
 from .tensor import GraphError, NonFiniteError, ShapeError
+from .train import ablation_run, finetune, pretrain, train_from_scratch
+from .world import (generate_dataset, generate_world, load_dataset_dir, normalize,
+                    save_dataset_dir, save_world_manifest)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -71,9 +79,6 @@ def _resolve(args) -> RunConfig:
 
 
 def _out_dir(rc: RunConfig) -> Path:
-    # Path("") is the current directory, which no command may write into
-    if not rc.paths["out"]:
-        raise ConfigError("this command needs --out (or paths.out)")
     out = Path(rc.paths["out"])
     try:
         echo = echo_config(rc).encode("utf-8")
@@ -90,18 +95,12 @@ def _out_dir(rc: RunConfig) -> Path:
 
 
 def _load_data(rc: RunConfig):
-    from .world import load_dataset_dir
-    if not rc.paths["data"]:
-        raise ConfigError("this command needs --data (or paths.data)")
     return _read(lambda path: load_dataset_dir(path, rc.world), Path(rc.paths["data"]),
                  DataError)
 
 
 def _load_checkpoint(rc: RunConfig, world):
     """The checkpoint, which must have been trained on ``world``."""
-    from .model import load_checkpoint
-    if not rc.paths["checkpoint"]:
-        raise ConfigError("this command needs --checkpoint (or paths.checkpoint)")
     path = Path(rc.paths["checkpoint"])
     mp = _read(load_checkpoint, path, DataError)
     seed = int(mp.meta["world_seed"])
@@ -119,7 +118,6 @@ def _held_out(rc: RunConfig, datasets):
 
 
 def cmd_gen_world(rc: RunConfig) -> int:
-    from .world import generate_world, save_world_manifest
     out = _out_dir(rc)
     generate_world(rc.world, rc.world_seed)  # validates the block
     save_world_manifest(rc.world, rc.world_seed, out / "world.txt")
@@ -127,8 +125,6 @@ def cmd_gen_world(rc: RunConfig) -> int:
 
 
 def cmd_gen_data(rc: RunConfig) -> int:
-    from .world import generate_dataset, generate_world, normalize, save_dataset_dir
-    from . import seeds
     out = _out_dir(rc)
     world = generate_world(rc.world, rc.world_seed)
     datasets = {}
@@ -142,8 +138,6 @@ def cmd_gen_data(rc: RunConfig) -> int:
 
 def cmd_train(rc: RunConfig) -> int:
     """pretrain, finetune or scratch: train one model, save it and its log."""
-    from .model import save_checkpoint
-    from .train import finetune, pretrain, train_from_scratch
     out = _out_dir(rc)
     world, datasets = _load_data(rc)
     k = rc.train.n_finetune_sessions
@@ -163,8 +157,6 @@ def cmd_train(rc: RunConfig) -> int:
 
 
 def cmd_eval(rc: RunConfig) -> int:
-    from .evaluate import evaluate_model, save_image
-    from .store import write_arrays
     out = _out_dir(rc)
     world, datasets = _load_data(rc)
     mp = _load_checkpoint(rc, world)
@@ -187,7 +179,6 @@ def cmd_eval(rc: RunConfig) -> int:
 
 
 def cmd_scaling(rc: RunConfig) -> int:
-    from .evaluate import run_scaling
     out = _out_dir(rc)
     world, datasets = _load_data(rc)
     sid = _held_out(rc, datasets).subject_id
@@ -203,13 +194,11 @@ def cmd_scaling(rc: RunConfig) -> int:
 
 
 def cmd_ablate(rc: RunConfig) -> int:
-    from .train import ablation_run
     out = _out_dir(rc)
     world, datasets = _load_data(rc)
     reports = ablation_run(world, _held_out(rc, datasets), rc.train.n_finetune_sessions,
                            rc.train, rc.model, rc.eval,
                            variants=rc.ablate_variants)
-    import csv
     with open(out / "summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant", "metric_name", "value"])
@@ -244,6 +233,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         rc = _resolve(args)
+        # before anything is written; Path("") is the current directory
+        for flag in ("--out", *_COMMANDS[args.command][2]):
+            key = _FLAG_KEYS[flag]
+            if key.startswith("paths.") and not rc.paths[key[len("paths."):]]:
+                raise ConfigError(f"this command needs {flag} (or {key})")
         # a numpy overflow, divide-by-zero or invalid value is a numeric
         # error, not a warning beside a result
         with np.errstate(over="raise", divide="raise", invalid="raise"):

@@ -14,10 +14,10 @@ from pathlib import Path
 
 from . import seeds
 from .errors import ConfigError
-from .evaluate import EvalConfig
+from .evaluate import EvalConfig, check_scaling_sweep
 from .flatkv import format_flat, parse_flat, parse_value
 from .model import ModelConfig
-from .train import DEFAULT_ABLATION_VARIANTS, TrainConfig
+from .train import DEFAULT_ABLATION_VARIANTS, TrainConfig, variant_config
 from .world import WorldConfig
 
 COMMANDS = ("gen-world", "gen-data", "pretrain", "finetune", "scratch", "eval",
@@ -109,7 +109,7 @@ def _materialize(raw: dict[str, str]) -> RunConfig:
         raise ConfigError(str(exc)) from None
 
     world.validate()
-    model.validate()
+    model.validate(world)
     train.validate()
     ev.validate(world.n_shared)
 
@@ -124,6 +124,9 @@ def _materialize(raw: dict[str, str]) -> RunConfig:
                                 ).split(",") if t)
     variants = tuple(t for t in str(values.get(
         "ablate.variants", ",".join(DEFAULT_ABLATION_VARIANTS))).split(",") if t)
+    check_scaling_sweep(sessions, arms)
+    for variant in variants:
+        variant_config(train, variant)
     return RunConfig(command=command, world=world, model=model, train=train,
                      eval=ev, seed=master, paths=paths,
                      scaling_sessions=sessions, scaling_arms=arms,

@@ -9,6 +9,7 @@ is the full-data pretrained model.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from .model import (
     ridge_forward,
     target_embed,
 )
+from .tensor import NORM_EPS
 from .train import TrainConfig, finetune, pretrain, train_from_scratch
 from .world import (
     SubjectDataset,
@@ -198,8 +200,8 @@ def retrieval_eval(retr_embeddings: np.ndarray, target_embeddings: np.ndarray,
         raise DataError("embedding sets must pair one-to-one")
     if pool_size > n:
         raise DataError(f"pool_size {pool_size} larger than test set {n}")
-    emb = emb / np.maximum(np.linalg.norm(emb, axis=1, keepdims=True), 1e-12)
-    temb = temb / np.maximum(np.linalg.norm(temb, axis=1, keepdims=True), 1e-12)
+    emb = emb / np.maximum(np.linalg.norm(emb, axis=1, keepdims=True), NORM_EPS)
+    temb = temb / np.maximum(np.linalg.norm(temb, axis=1, keepdims=True), NORM_EPS)
     sims = emb @ temb.T  # rows: brain, cols: image
     rows = np.arange(n)[:, None]
     own = np.diag(sims)[:, None]
@@ -538,12 +540,20 @@ class ScalingResult:
         return rows
 
     def write_csv(self, path: Path) -> None:
-        import csv as _csv
         with open(path, "w", newline="") as fh:
-            writer = _csv.writer(fh)
+            writer = csv.writer(fh)
             writer.writerow(["arm", "k_sessions", "metric_name", "value", "seed"])
             for arm, k, name, value, seed in self.csv_rows():
                 writer.writerow([arm, k, name, repr(float(value)), seed])
+
+
+def check_scaling_sweep(session_grid: tuple[int, ...], arms: tuple[str, ...]) -> None:
+    """Refuse an unknown arm, or arms with no session count to train at."""
+    for arm in arms:
+        if arm not in ("pretrained", "scratch"):
+            raise ConfigError(f"unknown scaling arm {arm!r} in scaling.arms")
+    if arms and not session_grid:
+        raise ConfigError("scaling.sessions is empty, but scaling.arms names arms")
 
 
 def run_scaling(world: WorldSpec, datasets: dict[str, SubjectDataset],
@@ -556,11 +566,7 @@ def run_scaling(world: WorldSpec, datasets: dict[str, SubjectDataset],
     pretrained model fine-tuned on every available session; the baseline
     scores random images (retrieval anchored at chance).
     """
-    for arm in arms:
-        if arm not in ("pretrained", "scratch"):
-            raise ConfigError(f"unknown scaling arm {arm!r}")
-    if arms and not session_grid:
-        raise ConfigError("session grid is empty")
+    check_scaling_sweep(session_grid, arms)
     session_grid = tuple(dict.fromkeys(session_grid))  # a repeated k trains once
     target = datasets[held_out]
     for k in session_grid if arms else ():

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (
+    NORM_EPS,
     Tensor,
     add,
     cross_entropy_soft,
@@ -150,7 +151,7 @@ def lowlevel_loss(targets: LowLevelTargets, tau: float) -> Tensor:
     n = targets.teacher_pred.shape[0]
     pred_n = l2_normalize(targets.teacher_pred.reshape(n, -1))
     true = np.asarray(targets.teacher_true, dtype=np.float64).reshape(n, -1)
-    true_n = true / np.maximum(np.linalg.norm(true, axis=1, keepdims=True), 1e-12)
+    true_n = true / np.maximum(np.linalg.norm(true, axis=1, keepdims=True), NORM_EPS)
     return add(l1, soft_clip_loss(pred_n, Tensor(true_n), tau))
 
 

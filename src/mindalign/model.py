@@ -32,6 +32,7 @@ from .errors import ConfigError, DataError
 from .flatkv import parse_fields
 from .store import check_layout, read_arrays, write_arrays
 from .tensor import (
+    NORM_EPS,
     ShapeError,
     Tensor,
     add,
@@ -71,7 +72,7 @@ class ModelConfig:
     mlp_ridge: bool = False      # Table-4-style variant: MLP with dropout
     ridge_dropout: float = 0.5
 
-    def validate(self) -> None:
+    def validate(self, world_cfg: WorldConfig) -> None:
         ints = [self.h, self.n_blocks, self.t_steps, self.d_temb, self.d_cond,
                 self.denoiser_hidden, self.denoiser_blocks, self.retr_hidden,
                 self.d_retr, self.ll_hidden, self.ll_trunk, self.ll_seed_hw,
@@ -79,27 +80,20 @@ class ModelConfig:
                 self.d_token_b]
         if min(ints) < 1:
             raise ConfigError("model dims must be positive")
-        if self.schedule not in ("linear", "cosine"):
-            raise ConfigError(f"unknown schedule kind {self.schedule!r}")
+        if self.schedule != "cosine":
+            raise ConfigError(f"model.schedule = {self.schedule!r}; the one schedule is cosine")
         if not 0.0 <= self.ridge_dropout < 1.0:
             raise ConfigError("ridge_dropout must be in [0, 1)")
+        _ll_stage_channels(world_cfg, self)
 
 
-def make_schedule(kind: str, t_steps: int) -> np.ndarray:
-    """The diffusion schedule: ``alpha_bar``, strictly decreasing in (0, 1]."""
+def make_schedule(t_steps: int) -> np.ndarray:
+    """The cosine schedule (Nichol & Dhariwal, 2021): ``alpha_bar``, decreasing in (0, 1]."""
     if t_steps < 1:
         raise ConfigError("t_steps must be >= 1")
-    if kind == "cosine":
-        s = 0.008
-        grid = (np.arange(1, t_steps + 1) / t_steps + s) / (1 + s) * np.pi / 2
-        alpha_bar = np.cos(grid) ** 2 / np.cos(s / (1 + s) * np.pi / 2) ** 2
-    elif kind == "linear":
-        scale = 1000.0 / t_steps
-        betas = np.clip(np.linspace(1e-4 * scale, 0.02 * scale, t_steps), 1e-8, 0.999)
-        alpha_bar = np.cumprod(1.0 - betas)
-    else:
-        raise ConfigError(f"unknown schedule kind {kind!r}")
-    alpha_bar = np.clip(alpha_bar, 1e-12, 1.0)
+    s = 0.008
+    grid = (np.arange(1, t_steps + 1) / t_steps + s) / (1 + s) * np.pi / 2
+    alpha_bar = np.clip(np.cos(grid) ** 2 / np.cos(s / (1 + s) * np.pi / 2) ** 2, 1e-12, 1.0)
     if np.any(np.diff(alpha_bar) >= 0):
         raise ConfigError("alpha_bar must be strictly decreasing in (0, 1]")
     return alpha_bar
@@ -110,8 +104,12 @@ class ModelParams:
     world_cfg: WorldConfig
     mcfg: ModelConfig
     params: dict[str, Tensor]
-    alpha_bar: np.ndarray              # the diffusion schedule, see `make_schedule`
     meta: dict[str, str] = field(default_factory=dict)
+
+    @property
+    def alpha_bar(self) -> np.ndarray:
+        """The diffusion schedule, derived from ``mcfg.t_steps``; never stored."""
+        return make_schedule(self.mcfg.t_steps)
 
     @property
     def subjects(self) -> dict[str, int]:
@@ -133,8 +131,8 @@ def _ll_stage_channels(world_cfg: WorldConfig, mcfg: ModelConfig) -> list[int]:
     """Channel plan for the upsampler: halve per doubling, land on vae channels."""
     ratio = world_cfg.vae_hw // mcfg.ll_seed_hw
     if mcfg.ll_seed_hw * ratio != world_cfg.vae_hw or ratio & (ratio - 1):
-        raise ConfigError("vae_hw must be ll_seed_hw times a power of two")
-    n_stages = int(np.log2(ratio))
+        raise ConfigError("world.vae_hw must be model.ll_seed_hw times a power of two")
+    n_stages = int(ratio).bit_length() - 1  # np.log2 refuses ints past int64
     chans = [mcfg.ll_seed_channels]
     for i in range(n_stages):
         chans.append(world_cfg.vae_channels if i == n_stages - 1
@@ -250,15 +248,14 @@ def init_model(world_cfg: WorldConfig, mcfg: ModelConfig,
     Each ridge layer draws from its own seed stream, the shared parameters
     from one more.
     """
-    mcfg.validate()
+    mcfg.validate(world_cfg)
     shapes = parameter_shapes(world_cfg, mcfg, subjects)
     params: dict[str, Tensor] = {}
     for sid, n_vox in subjects.items():
         params.update(_draw(_ridge_shapes(sid, n_vox, mcfg), seeds.rng(seed, "ridge", sid)))
     params.update(_draw({k: v for k, v in shapes.items() if k not in params},
                         seeds.rng(seed, "shared")))
-    return ModelParams(world_cfg=world_cfg, mcfg=mcfg, params=params,
-                       alpha_bar=make_schedule(mcfg.schedule, mcfg.t_steps))
+    return ModelParams(world_cfg=world_cfg, mcfg=mcfg, params=params)
 
 
 def add_subject(mp: ModelParams, sid: str, n_vox: int, seed: int) -> None:
@@ -489,7 +486,7 @@ def target_embed(mp: ModelParams, tokens) -> np.ndarray:
     """Frozen unit-norm image-side embeddings for contrastive alignment."""
     flat = _flat_tokens(mp, tokens).data
     raw = flat @ mp.params["retrieval.target.W"].data.T
-    return raw / np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), 1e-12)
+    return raw / np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), NORM_EPS)
 
 
 def retrieval_project(mp: ModelParams, tokens, return_degenerate: bool = False):
@@ -503,7 +500,7 @@ def retrieval_project(mp: ModelParams, tokens, return_degenerate: bool = False):
     raw = linear(gelu(linear(flat, p["retrieval.fc1.W"], p["retrieval.fc1.b"])),
                  p["retrieval.fc2.W"], p["retrieval.fc2.b"])
     norms = np.linalg.norm(raw.data, axis=1)
-    degenerate = norms < 1e-12
+    degenerate = norms < NORM_EPS
     emb = l2_normalize(raw)
     if degenerate.any():
         keep = Tensor((~degenerate).astype(np.float64)[:, None])
@@ -598,19 +595,18 @@ def load_checkpoint(path: Path) -> ModelParams:
         world_cfg, world_seed = world_config_from_items(items)
         mcfg = parse_fields(ModelConfig, items, "model")
         world_cfg.validate()
-        mcfg.validate()
-        # the file's size bounds the layout table and the schedule built below
+        mcfg.validate(world_cfg)
+        # the file's size bounds the layout table built below
         if expected_parameter_count(world_cfg, mcfg, subjects) != sum(
                 arr.size for arr in arrays.values()):
             raise DataError(f"{path}: parameter count differs from what its config builds")
         check_layout(path, arrays, {name: ("<f4", _file_shape(name, shape)) for name, shape
                                     in parameter_shapes(world_cfg, mcfg, subjects).items()})
-        alpha_bar = make_schedule(mcfg.schedule, mcfg.t_steps)
     except ConfigError as exc:
         raise DataError(f"{path}: {exc}") from None
     meta = {k[len("meta."):]: v for k, v in items.items() if k.startswith("meta.")}
     meta["world_seed"] = str(world_seed)
-    return ModelParams(world_cfg=world_cfg, mcfg=mcfg, alpha_bar=alpha_bar,
+    return ModelParams(world_cfg=world_cfg, mcfg=mcfg,
                        params={name: Tensor(np.ascontiguousarray(_file_layout(name, arr),
                                                                  dtype=np.float64),
                                             requires_grad=not is_frozen_parameter(name))

@@ -55,10 +55,10 @@ __all__ = [
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
-# layernorm's variance floor, the common 1e-5; and the norm below which
-# l2_normalize stops dividing, far under any row norm that carries signal
+# layernorm's variance floor, the common 1e-5; and the package's one row-norm
+# floor for dividing rows by their norm, far under any norm that carries signal
 _LAYERNORM_EPS = 1e-5
-_NORM_EPS = 1e-12
+NORM_EPS = 1e-12
 
 
 class ShapeError(ValueError):
@@ -432,16 +432,16 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 
 def l2_normalize(x: Tensor) -> Tensor:
-    """Last-axis rows scaled by max(L2 norm, `_NORM_EPS`); exactly unit above it."""
+    """Last-axis rows scaled by max(L2 norm, `NORM_EPS`); exactly unit above it."""
     x = Tensor.lift(x)
     r = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True))
-    d = np.maximum(r, _NORM_EPS)
+    d = np.maximum(r, NORM_EPS)
     out = Tensor._from_op("l2_normalize", x.data / d, (x,))
 
     def _bwd(g):
         inner = (g * x.data).sum(axis=-1, keepdims=True)
         # below the clamp the map is linear in x, so the norm term vanishes
-        x._acc(g / d - x.data * (inner * (r > _NORM_EPS) / (d * d * d)))
+        x._acc(g / d - x.data * (inner * (r > NORM_EPS) / (d * d * d)))
 
     out._backward_fn = _bwd
     return out

@@ -96,8 +96,8 @@ class TrainConfig:
                               f"{self.alpha1}, alpha2 = {self.alpha2}")
         if self.mixco_beta_a <= 0 or self.mixco_beta_b <= 0:
             raise ConfigError(f"MixCo's beta parameters must be positive, got "
-                              f"mixco_beta_a = {self.mixco_beta_a}, "
-                              f"mixco_beta_b = {self.mixco_beta_b}")
+                              f"train.mixco_beta_a = {self.mixco_beta_a}, "
+                              f"train.mixco_beta_b = {self.mixco_beta_b}")
 
     @property
     def weights(self) -> LossWeights:
@@ -342,8 +342,7 @@ def finetune(checkpoint: ModelParams, world: WorldSpec, dataset: SubjectDataset,
             k.startswith(ridge) or not cfg.ridge_only_finetune))
         for k, v in checkpoint.params.items()
         if k.startswith(ridge) or not k.startswith("ridge.")}
-    mp = ModelParams(world_cfg=checkpoint.world_cfg, mcfg=checkpoint.mcfg, params=params,
-                     alpha_bar=checkpoint.alpha_bar, meta=dict(checkpoint.meta))
+    mp = replace(checkpoint, params=params, meta=dict(checkpoint.meta))
     if sid not in mp.subjects:
         add_subject(mp, sid, dataset.n_voxels, seed=seeds.derive(cfg.seed, "ft-ridge"))
     return _fit_subject(mp, world, dataset, k_sessions, cfg)
@@ -372,7 +371,7 @@ _VARIANT_FLAGS = {
 
 def variant_config(cfg: TrainConfig, variant: str) -> TrainConfig:
     if variant not in _VARIANT_FLAGS:
-        raise ConfigError(f"unknown ablation variant {variant!r}; "
+        raise ConfigError(f"unknown ablation variant {variant!r} in ablate.variants; "
                           f"choose from {sorted(_VARIANT_FLAGS)}")
     return replace(cfg, **_VARIANT_FLAGS[variant])
 

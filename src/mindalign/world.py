@@ -81,8 +81,9 @@ class WorldConfig:
             raise ConfigError(
                 f"impossible rank condition: token dim {self.token_dim} < "
                 f"pixel dim {self.pixel_dim}; token encoder cannot be injective")
-        if self.voxels_min > self.voxels_max:
-            raise ConfigError("voxels_min exceeds voxels_max")
+        if self.voxels_max - self.voxels_min + 1 < self.n_subjects:
+            raise ConfigError("world.voxels_min..world.voxels_max holds fewer values than "
+                              "world.n_subjects, which need distinct voxel counts")
         # the smoothing kernel spans 4 sigma each way; past the image it only
         # costs memory and time
         if self.smooth_sigma > self.image_hw:
@@ -240,8 +241,6 @@ def generate_world(config: WorldConfig, seed: int,
     subjects: dict[str, np.ndarray] = {}
     regions: dict[str, dict[str, np.ndarray]] = {}
     candidates = np.arange(config.voxels_min, config.voxels_max + 1)
-    if candidates.size < config.n_subjects:
-        raise ConfigError("voxel range too narrow for distinct per-subject counts")
     size_rng = seeds.rng(seed, "voxel-counts")
     counts = size_rng.choice(candidates, size=config.n_subjects, replace=False)
     for i in range(config.n_subjects):

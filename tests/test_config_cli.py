@@ -132,9 +132,10 @@ class TestConfig:
     def test_overrides(self, tmp_path):
         (tmp_path / "c.cfg").write_text(SMALL_CFG)
         out = tmp_path / "x"
-        # without --data the run stops (exit 2) after echoing its config
+        # with no data at --data the run stops (exit 3) after echoing its config
         assert main(["finetune", "--config", str(tmp_path / "c.cfg"), "--subject", "s9",
-                     "--sessions", "3", "--seed", "5", "--out", str(out)]) == 2
+                     "--sessions", "3", "--seed", "5", "--data", str(tmp_path / "absent"),
+                     "--checkpoint", str(tmp_path / "absent.me2c"), "--out", str(out)]) == 3
         rc = parse_config((out / "config.txt").read_text())
         assert rc.command == "finetune"
         assert rc.train.held_out_subject == "s9"
@@ -535,8 +536,11 @@ def test_flag_equals_its_config_key(tmp_path, command, flag):
     key, value = FLAG_CASES.get(f"{command} {flag}", FLAG_CASES[flag])
     if key.startswith("paths."):
         value = str(tmp_path / value)
-    others = [line for line in SMALL_CFG.splitlines() if not line.startswith(f"{key} ")]
-    (tmp_path / "flag.cfg").write_text(SMALL_CFG)
+    # with no data at paths.data the run stops (exit 3) after echoing its config
+    base = (SMALL_CFG + f"paths.data = {tmp_path / 'absent'}\n"
+            + f"paths.checkpoint = {tmp_path / 'absent.me2c'}\n")
+    others = [line for line in base.splitlines() if not line.startswith(f"{key} ")]
+    (tmp_path / "flag.cfg").write_text(base)
     (tmp_path / "key.cfg").write_text("\n".join([*others, f"{key} = {value}"]) + "\n")
     by_flag = main([command, "--config", str(tmp_path / "flag.cfg"), flag, value,
                     "--out", str(tmp_path / "by_flag")])
@@ -579,8 +583,8 @@ def test_empty_out_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys, com
     pytest.param(["ablate", "--variants", ""], "ablate.variants = ", id="empty-variants"),
 ])
 def test_flag_value_reads_as_in_a_file(tmp_path, argv, line):
-    # without --data the run stops (exit 2) after echoing its config
-    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    # with no data at --data the run stops (exit 3) after echoing its config
+    assert main([*argv, "--data", str(tmp_path / "absent"), "--out", str(tmp_path / "o")]) == 3
     assert line in (tmp_path / "o" / "config.txt").read_text().splitlines()
 
 
@@ -658,16 +662,40 @@ def test_layernorm_variance_overflow_exits_4_in_one_line(tmp_path, capsys):
     assert not (out / "checkpoint.me2c").exists()
 
 
-@pytest.mark.parametrize("command, line", [("scratch", "train.mixco_beta_a = 0"),
-                                           ("gen-data", "world.smooth_sigma = 1e10")])
+# Each config that no command can run is refused at parse, by every command,
+# before anything is written, in one line that names the last key set. A key
+# SMALL_CFG sets has its line replaced, or the parse would stop at the
+# duplicate.
+@pytest.mark.parametrize("command, line", [
+    ("scratch", "train.mixco_beta_a = 0"),
+    ("gen-data", "train.mixco_beta_a = 0"),
+    ("gen-data", "world.smooth_sigma = 1e10"),
+    ("gen-data", "model.t_steps = 8; model.schedule = linear"),
+    ("scratch", "model.t_steps = 8; model.schedule = linear"),
+    ("gen-data", "model.ll_seed_hw = 3"),
+    ("scratch", "model.ll_seed_hw = 3"),
+    ("gen-world", "world.n_subjects = 100"),
+    ("gen-data", "world.n_subjects = 100"),
+    ("gen-data", "ablate.variants = Bogus"),
+    ("ablate", "ablate.variants = Bogus"),
+    ("gen-data", "scaling.arms = bogus"),
+    ("scaling", "scaling.arms = bogus"),
+    ("gen-data", "scaling.sessions = ,"),
+    ("scaling", "scaling.sessions = ,"),
+    ("scratch", ""),  # no --data
+])
 def test_out_of_range_parameter_exits_2_and_writes_nothing(tmp_path, capsys, command,
                                                            line):
+    settings = dict(item.split(" = ") for item in line.split("; ") if item)
+    kept = [text for text in SMALL_CFG.splitlines() if text.split(" = ")[0] not in settings]
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(SMALL_CFG + line + "\n")
+    cfg.write_text("".join(f"{text}\n" for text in kept)
+                   + "".join(f"{key} = {value}\n" for key, value in settings.items()))
     out = tmp_path / "s"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+    assert (list(settings)[-1] if settings else "--data") in err
     assert not out.exists()
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from mindalign import seeds
 from mindalign.config import parse_config
 from mindalign.errors import ConfigError, DataError, NonFiniteError
+from mindalign.flatkv import format_flat
 from mindalign.model import (
     ModelConfig,
     add_subject,
@@ -123,20 +124,78 @@ class TestBackbone:
 
 
 class TestSchedule:
-    @pytest.mark.parametrize("kind", ["cosine", "linear"])
-    def test_monotone_decreasing_unit_interval(self, kind):
-        ab = make_schedule(kind, 64)
+    def test_monotone_decreasing_unit_interval(self):
+        ab = make_schedule(64)
         assert np.all(np.diff(ab) < 0)
         assert ab[0] > 0.99
         assert ab[-1] < 0.05
         assert np.all(ab > 0) and np.all(ab <= 1)
 
     def test_single_step_allowed(self):
-        assert make_schedule("cosine", 1).shape == (1,)
+        assert make_schedule(1).shape == (1,)
 
     def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            make_schedule("sigmoid", 8)
+        # cosine is the one schedule
+        for kind in ("linear", "sigmoid", ""):
+            with pytest.raises(ConfigError, match="model.schedule"):
+                ModelConfig(schedule=kind).validate(WorldConfig())
+
+    def test_every_model_derives_its_schedule_from_its_config(self, tiny_world,
+                                                              tiny_datasets, tmp_path):
+        # a fresh, a loaded and a fine-tuned model all read the schedule of
+        # their own t_steps; none carries a copy that could disagree
+        mcfg = ModelConfig(**{**MCFG.__dict__, "t_steps": 5})
+        fresh = init_model(tiny_world.config, mcfg, {"s0": 40}, seed=1)
+        save_checkpoint(fresh, tmp_path / "m.me2c")
+        loaded = load_checkpoint(tmp_path / "m.me2c")
+        tuned, _ = finetune(loaded, tiny_world, tiny_datasets["s3"], 1,
+                            TrainConfig(epochs=1, batch_size=6, held_out_subject="s3"))
+        for model in (fresh, loaded, tuned):
+            assert model.alpha_bar.tobytes() == make_schedule(5).tobytes()
+
+
+# a world and model small enough to build for every drawn config
+_NANO_WORLD = dict(image_hw=4, channels=3, n_tokens=4, d_token=16, vae_channels=2,
+                   d_teacher=4, n_sessions=1, trials_per_session=2, n_shared=2)
+_NANO_MODEL = dict(h=4, n_blocks=1, d_temb=2, d_cond=4, denoiser_hidden=4,
+                   denoiser_blocks=1, retr_hidden=4, d_retr=2, ll_hidden=4, ll_trunk=4,
+                   ll_seed_channels=4, teacher_hidden=4, m_tokens=2, d_token_b=2)
+
+
+@settings(max_examples=60)
+@given(voxels_min=st.integers(1, 12), voxels_max=st.integers(1, 12),
+       n_subjects=st.integers(1, 5), vae_hw=st.integers(1, 9), ll_seed_hw=st.integers(1, 9),
+       t_steps=st.integers(1, 20), schedule=st.sampled_from(["cosine", "linear"]))
+@example(voxels_min=1, voxels_max=12, n_subjects=3, vae_hw=8, ll_seed_hw=2, t_steps=8,
+         schedule="linear")
+@example(voxels_min=5, voxels_max=6, n_subjects=3, vae_hw=4, ll_seed_hw=2, t_steps=8,
+         schedule="cosine")
+@example(voxels_min=1, voxels_max=12, n_subjects=3, vae_hw=4, ll_seed_hw=3, t_steps=8,
+         schedule="cosine")
+def test_parse_accepts_exactly_the_configs_a_model_builds_from(
+        voxels_min, voxels_max, n_subjects, vae_hw, ll_seed_hw, t_steps, schedule):
+    wcfg = WorldConfig(**_NANO_WORLD, vae_hw=vae_hw, n_subjects=n_subjects,
+                       voxels_min=voxels_min, voxels_max=voxels_max)
+    mcfg = ModelConfig(**_NANO_MODEL, ll_seed_hw=ll_seed_hw, t_steps=t_steps,
+                       schedule=schedule)
+    text = format_flat({"eval.pool_size": 2, **{
+        f"{block}.{key}": value for block, cfg in (("world", wcfg), ("model", mcfg))
+        for key, value in cfg.__dict__.items()}})
+    try:
+        parse_config(text)
+        accepted = True
+    except ConfigError:
+        accepted = False
+    # any error but a ConfigError fails the test
+    try:
+        world = generate_world(wcfg, seed=3)
+        mp = init_model(wcfg, mcfg, {sid: a.shape[0] for sid, a in world.subjects.items()},
+                        seed=1)
+        mp.alpha_bar
+        built = True
+    except ConfigError:
+        built = False
+    assert accepted == built
 
 
 class TestPrior:
