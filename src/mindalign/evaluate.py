@@ -548,7 +548,11 @@ class ScalingResult:
 
 
 def check_scaling_sweep(session_grid: tuple[int, ...], arms: tuple[str, ...]) -> None:
-    """Refuse an unknown arm, or arms with no session count to train at."""
+    """Refuse an unknown arm, a session count below 1, or arms with no
+    session count to train at."""
+    for k in session_grid:
+        if k < 1:
+            raise ConfigError(f"scaling.sessions entry {k} is below 1")
     for arm in arms:
         if arm not in ("pretrained", "scratch"):
             raise ConfigError(f"unknown scaling arm {arm!r} in scaling.arms")

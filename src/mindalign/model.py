@@ -47,7 +47,7 @@ from .tensor import (
     tensor_slice,
     transpose,
 )
-from .world import WorldConfig, world_config_from_items, world_config_items
+from .world import INDEX_MAX, WorldConfig, world_config_from_items, world_config_items
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,16 @@ class ModelConfig:
             raise ConfigError(f"model.schedule = {self.schedule!r}; the one schedule is cosine")
         if not 0.0 <= self.ridge_dropout < 1.0:
             raise ConfigError("ridge_dropout must be in [0, 1)")
-        _ll_stage_channels(world_cfg, self)
+        # the parameters must fit numpy's index range with world.voxels_max
+        # voxels for every subject; counted with Python ints
+        parts = _parameter_parts(world_cfg, self, world_cfg.n_subjects,
+                                 world_cfg.n_subjects * world_cfg.voxels_max)
+        total = sum(parts.values())
+        if total > INDEX_MAX:
+            part = max(parts, key=parts.get)
+            raise ConfigError(f"the model would hold {total} parameters at world.voxels_max "
+                              f"voxels per subject, past numpy's index range ({INDEX_MAX}); "
+                              f"the largest part is the {part}")
 
 
 def make_schedule(t_steps: int) -> np.ndarray:
@@ -265,36 +274,46 @@ def add_subject(mp: ModelParams, sid: str, n_vox: int, seed: int) -> None:
     mp.params.update(_draw(_ridge_shapes(sid, n_vox, mp.mcfg), seeds.rng(seed, "ridge", sid)))
 
 
+def _parameter_parts(world_cfg: WorldConfig, mcfg: ModelConfig, n_subjects: int,
+                     n_voxels: int) -> dict[str, int]:
+    """Analytic parameter count per part of the model, keyed by the part and
+    the keys that size it, for ``n_subjects`` ridge layers over ``n_voxels``
+    voxels in all."""
+    D, h = world_cfg.token_dim, mcfg.h
+    hid, d_cond = mcfg.denoiser_hidden, mcfg.d_cond
+    chans = _ll_stage_channels(world_cfg, mcfg)
+    seed_out = mcfg.ll_seed_hw * mcfg.ll_seed_hw * chans[0]
+    return {
+        "ridge (model.h, world.voxels_max)":
+            h * n_voxels + n_subjects * (h + (h * h + h if mcfg.mlp_ridge else 0)),
+        "backbone (model.h, model.n_blocks)": mcfg.n_blocks * (2 * h + 2 * (h * h + h)) + D * h,
+        "prior (model.t_steps, model.d_temb, model.d_cond, model.denoiser_hidden, "
+        "model.denoiser_blocks)":
+            mcfg.t_steps * mcfg.d_temb + d_cond * D + d_cond + d_cond * d_cond + d_cond
+            + hid * (D + mcfg.d_temb + d_cond) + hid
+            + mcfg.denoiser_blocks * (hid * hid + hid) + D * hid + D,
+        # the frozen image-side embedding map included
+        "retrieval head (model.retr_hidden, model.d_retr)":
+            mcfg.retr_hidden * D + mcfg.retr_hidden + mcfg.d_retr * mcfg.retr_hidden
+            + mcfg.d_retr + mcfg.d_retr * D,
+        "low-level head (model.ll_hidden, model.ll_trunk, model.ll_seed_hw, "
+        "model.ll_seed_channels, model.teacher_hidden)":
+            mcfg.ll_hidden * D + mcfg.ll_hidden + mcfg.ll_trunk * mcfg.ll_hidden + mcfg.ll_trunk
+            + seed_out * mcfg.ll_trunk + seed_out
+            + sum(cout * cin + cout for cin, cout in zip(chans[:-1], chans[1:]))
+            + mcfg.teacher_hidden * mcfg.ll_trunk + mcfg.teacher_hidden
+            + world_cfg.d_teacher * mcfg.teacher_hidden + world_cfg.d_teacher,
+        "converter (model.m_tokens, model.d_token_b)":
+            mcfg.m_tokens * world_cfg.n_tokens + mcfg.m_tokens
+            + mcfg.d_token_b * world_cfg.d_token + mcfg.d_token_b,
+    }
+
+
 def expected_parameter_count(world_cfg: WorldConfig, mcfg: ModelConfig,
                              subjects: dict[str, int]) -> int:
     """Analytic parameter count for a config; must equal the built model's."""
-    D, h = world_cfg.token_dim, mcfg.h
-    n = 0
-    for n_vox in subjects.values():
-        n += h * n_vox + h
-        if mcfg.mlp_ridge:
-            n += h * h + h
-    n += mcfg.n_blocks * (2 * h + 2 * (h * h + h))
-    n += D * h
-    n += mcfg.t_steps * mcfg.d_temb
-    n += mcfg.d_cond * D + mcfg.d_cond + mcfg.d_cond * mcfg.d_cond + mcfg.d_cond
-    din = D + mcfg.d_temb + mcfg.d_cond
-    n += mcfg.denoiser_hidden * din + mcfg.denoiser_hidden
-    n += mcfg.denoiser_blocks * (mcfg.denoiser_hidden ** 2 + mcfg.denoiser_hidden)
-    n += D * mcfg.denoiser_hidden + D
-    n += mcfg.retr_hidden * D + mcfg.retr_hidden + mcfg.d_retr * mcfg.retr_hidden + mcfg.d_retr
-    n += mcfg.d_retr * D  # frozen image-side embedding map
-    n += mcfg.ll_hidden * D + mcfg.ll_hidden + mcfg.ll_trunk * mcfg.ll_hidden + mcfg.ll_trunk
-    chans = _ll_stage_channels(world_cfg, mcfg)
-    seed_out = mcfg.ll_seed_hw * mcfg.ll_seed_hw * chans[0]
-    n += seed_out * mcfg.ll_trunk + seed_out
-    for cin, cout in zip(chans[:-1], chans[1:]):
-        n += cout * cin + cout
-    n += mcfg.teacher_hidden * mcfg.ll_trunk + mcfg.teacher_hidden
-    n += world_cfg.d_teacher * mcfg.teacher_hidden + world_cfg.d_teacher
-    n += mcfg.m_tokens * world_cfg.n_tokens + mcfg.m_tokens
-    n += mcfg.d_token_b * world_cfg.d_token + mcfg.d_token_b
-    return n
+    return sum(_parameter_parts(world_cfg, mcfg, len(subjects),
+                                sum(subjects.values())).values())
 
 
 # -- forward passes -------------------------------------------------------

@@ -24,7 +24,6 @@ import math
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import NonFiniteError
 
@@ -384,11 +383,94 @@ def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 # -- nonlinearities ------------------------------------------------------
 
+# erf as Moshier's Cephes library computes it (ndtr.c, the algorithm behind
+# scipy.special.erf), step for step, so the two agree bit for bit. For
+# |x| <= 1 it is x * T(x^2) / U(x^2). Beyond 1 it is 1 - erfc(|x|), with
+# erfc = exp(-x^2) P(x) / Q(x) below 8. From 8 on Cephes' erfc is below
+# 1.2e-29, under half an ulp of 1, so erf is 1. U and Q have a leading
+# coefficient 1, not stored.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+
+
+# up to this many values beyond 1, a loop over Python floats (under 1 us a
+# value) is faster than the ~40 ufunc calls of the vectorised tail (~25 us)
+_ERF_TAIL_LOOP = 32
+
+
+def _polevl(x: np.ndarray, coef: tuple[float, ...], leading_one: bool = False) -> np.ndarray:
+    """Cephes' Horner steps in place on one new array: `p1evl` when the
+    leading coefficient is an implicit 1, else `polevl`."""
+    if leading_one:
+        ans = x + coef[0]
+    else:
+        ans = x * coef[0]
+        ans += coef[1]
+        coef = coef[1:]
+    for c in coef[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _erf_tail(x: np.ndarray) -> np.ndarray | list[float]:
+    """Cephes erf where |x| > 1: the sign of x times 1 - erfc(|x|).
+
+    Clipped at 8, where erf is 1, -x^2 cannot overflow. The exp is libm's:
+    numpy's vectorised exp differs from it in the last bit."""
+    if x.size <= _ERF_TAIL_LOOP:
+        (p0, p1, p2, p3, p4, p5, p6, p7, p8), (q0, q1, q2, q3, q4, q5, q6, q7) = _ERFC_P, _ERFC_Q
+        out = []
+        for v in x.tolist():
+            a = min(abs(v), 8.0)
+            # `polevl` and `p1evl`, unrolled
+            p = (((((((p0 * a + p1) * a + p2) * a + p3) * a + p4) * a + p5) * a + p6) * a
+                 + p7) * a + p8
+            q = (((((((a + q0) * a + q1) * a + q2) * a + q3) * a + q4) * a + q5) * a + q6) * a + q7
+            erfc = 0.0 if a == 8.0 else math.exp(-a * a) * p / q
+            out.append(math.copysign(1.0 - erfc, v))
+        return out
+    a = np.minimum(np.abs(x), 8.0)
+    erfc = np.array([math.exp(v) for v in (-a * a).tolist()])
+    erfc *= _polevl(a, _ERFC_P)
+    erfc /= _polevl(a, _ERFC_Q, leading_one=True)
+    erfc[a == 8.0] = 0.0
+    return np.copysign(1.0 - erfc, x)
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """The error function, bit for bit scipy.special.erf (see `_ERF_T`)."""
+    flat = np.reshape(x, -1)
+    # the entries beyond 1 are overwritten below, so what x^2 and the
+    # polynomials make of them (inf, nan) is ignored; so is the underflow of
+    # a tiny x, as inside Cephes
+    with np.errstate(all="ignore"):
+        z = flat * flat
+        y = _polevl(z, _ERF_T)
+        y *= flat
+        y /= _polevl(z, _ERF_U, leading_one=True)
+    # |x| > 1 exactly where x^2 > 1: under 1% of the values in training
+    idx = np.flatnonzero(z > 1.0)
+    if idx.size:
+        y[idx] = _erf_tail(flat[idx])
+    return y.reshape(np.shape(x))
+
 
 def gelu(a: Tensor) -> Tensor:
     """Exact gaussian-gated linear unit x * Phi(x)."""
     a = Tensor.lift(a)
-    phi = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
+    phi = _erf(a.data * _INV_SQRT2)
+    # in place, the bits of 0.5 * (1.0 + erf)
+    phi += 1.0
+    phi *= 0.5
     out = Tensor._from_op("gelu", a.data * phi, (a,))
 
     def _bwd(g):

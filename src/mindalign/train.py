@@ -80,6 +80,10 @@ class TrainConfig:
     def validate(self) -> None:
         if self.epochs < 1 or self.batch_size < 2 or self.samples_per_subject_per_batch < 1:
             raise ConfigError("epochs must be >= 1 and batch sizes >= 2")
+        # no dataset has fewer than one session to train on
+        if self.n_finetune_sessions < 1:
+            raise ConfigError(f"train.n_finetune_sessions must be >= 1, "
+                              f"got {self.n_finetune_sessions}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"train.lr must be finite and positive, got {self.lr}")
         if not 0 <= self.warmup_frac <= 1:  # also refuses nan; inf is above 1

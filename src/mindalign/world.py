@@ -19,7 +19,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from . import seeds
 from .errors import ConfigError, DataError
@@ -32,6 +31,8 @@ REGION_NAMES = ("V1", "V2", "V3", "V4", "higher")
 _REGION_FRACTIONS = (0.15, 0.15, 0.15, 0.15, 0.40)
 # draws from the "encoder" stream before a rank-deficient encoder is an error
 _ENCODER_DRAWS = 9
+# the most elements one numpy array can hold
+INDEX_MAX = int(np.iinfo(np.intp).max)
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,21 @@ class WorldConfig:
         if self.smooth_sigma > self.image_hw:
             raise ConfigError(f"world.smooth_sigma = {self.smooth_sigma} exceeds "
                               f"world.image_hw = {self.image_hw}")
+        # each array the world draws must fit numpy's index range; counted
+        # with Python ints, before anything is allocated
+        px = self.pixel_dim
+        for what, count in (
+                ("the encoder [world.n_tokens * world.d_token, pixels]", self.token_dim * px),
+                ("the teacher map [world.d_teacher, pixels]", self.d_teacher * px),
+                ("the VAE map [world.vae_hw^2 * world.vae_channels, pixels]",
+                 self.vae_dim * px),
+                ("the image pool [world.n_shared + world.n_subjects * world.n_sessions * "
+                 "world.trials_per_session, pixels]", self.n_images * px),
+                ("a forward map [world.voxels_max, pixels]", self.voxels_max * px)):
+            if count > INDEX_MAX:
+                raise ConfigError(f"{what} would hold {count} elements, past numpy's index "
+                                  f"range ({INDEX_MAX}); pixels = world.image_hw^2 * "
+                                  f"world.channels")
 
 
 @dataclass
@@ -173,16 +189,60 @@ class SubjectDataset:
 # -- generation ----------------------------------------------------------
 
 
+# images filtered per block: in an [H, W, block, C] layout the passes stay in cache
+_SMOOTH_BLOCK = 32
+
+
+def _correlate_rows(x: np.ndarray, half: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``x`` correlated along axis 0 with the symmetric kernel whose taps
+    0, 1, ..., r are ``half``, over ``x[index]``, the rows extended r each way.
+
+    ndimage's symmetric-kernel steps: the centre tap times the centre row,
+    then the two rows at distance j summed and times tap j, from r inward."""
+    n, r = x.shape[0], half.size - 1
+    ext = x[index]
+    out = ext[r:r + n] * half[0]
+    pair = np.empty_like(out)
+    for j in range(r, 0, -1):
+        np.add(ext[r - j:r - j + n], ext[r + j:r + j + n], out=pair)
+        pair *= half[j]
+        out += pair
+    return out
+
+
+def _gaussian_filter_hw(raw: np.ndarray, sigma: float) -> np.ndarray:
+    """``scipy.ndimage.gaussian_filter(raw, (0, sigma, sigma, 0))`` bit for
+    bit: truncated at 4 sigma, 'reflect' extension (half-sample symmetric,
+    period 2 * size, so a radius past the image repeats it), height first."""
+    radius = int(4.0 * sigma + 0.5)
+    taps = np.arange(-radius, radius + 1)
+    kernel = np.exp(-0.5 / (sigma * sigma) * taps ** 2)
+    half = (kernel / kernel.sum())[radius:]
+    hw = raw.shape[1]
+    index = np.arange(-radius, hw + radius) % (2 * hw)
+    index = np.where(index < hw, index, 2 * hw - 1 - index)
+    out = np.empty_like(raw)
+    for lo in range(0, raw.shape[0], _SMOOTH_BLOCK):
+        block = raw[lo:lo + _SMOOTH_BLOCK].transpose(1, 2, 0, 3)  # [H, W, block, C]
+        rows = _correlate_rows(block, half, index)
+        cols = _correlate_rows(rows.transpose(1, 0, 2, 3), half, index)  # [W, H, block, C]
+        out[lo:lo + _SMOOTH_BLOCK] = cols.transpose(2, 1, 0, 3)
+    return out
+
+
 def _smooth_images(n: int, cfg: WorldConfig, rng: np.random.Generator) -> np.ndarray:
     """Low-pass-filtered gaussian fields rescaled into [0, 1]."""
     raw = rng.normal(size=(n, cfg.image_hw, cfg.image_hw, cfg.channels))
-    smooth = gaussian_filter(raw, sigma=(0, cfg.smooth_sigma, cfg.smooth_sigma, 0))
+    # ndimage leaves an axis whose sigma is at most 1e-15 unfiltered
+    smooth = (_gaussian_filter_hw(raw, cfg.smooth_sigma) if cfg.smooth_sigma > 1e-15
+              else raw)
     flat = smooth.reshape(n, -1)
     mu = flat.mean(axis=1, keepdims=True)
-    sd = flat.std(axis=1, keepdims=True)
     # in place, the same operations in the same order as
-    # clip(0.5 + 0.22 * ((flat - mu) / max(sd, floor)), 0, 1)
+    # clip(0.5 + 0.22 * ((flat - mu) / max(flat.std(), floor)), 0, 1);
+    # numpy's std is sqrt(sum((flat - mu)^2) / count), so it reuses the centred rows
     flat -= mu
+    sd = np.sqrt(np.sum(flat * flat, axis=1, keepdims=True) / flat.shape[1])
     flat /= np.maximum(sd, STD_FLOOR)
     flat *= 0.22
     flat += 0.5

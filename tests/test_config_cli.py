@@ -682,6 +682,16 @@ def test_layernorm_variance_overflow_exits_4_in_one_line(tmp_path, capsys):
     ("scaling", "scaling.arms = bogus"),
     ("gen-data", "scaling.sessions = ,"),
     ("scaling", "scaling.sessions = ,"),
+    ("scratch", "train.n_finetune_sessions = 0"),
+    ("scratch", "train.n_finetune_sessions = -1"),
+    ("scaling", "scaling.sessions = 0,1"),
+    # sizes past numpy's index range (2**70 elements and more)
+    ("gen-data", f"world.vae_hw = {2 ** 70}"),
+    ("gen-data", f"world.voxels_max = {2 ** 70}"),
+    ("gen-data", f"world.trials_per_session = {2 ** 70}"),
+    ("scratch", f"model.h = {2 ** 70}"),
+    ("scratch", f"model.t_steps = {2 ** 70}"),
+    ("scratch", f"model.d_retr = {2 ** 70}"),
     ("scratch", ""),  # no --data
 ])
 def test_out_of_range_parameter_exits_2_and_writes_nothing(tmp_path, capsys, command,

@@ -1,18 +1,29 @@
-"""The package's linear algebra runs on numpy's BLAS alone.
+"""The package runs on numpy and numpy's BLAS alone; it never loads scipy.
 
-scipy bundles its own OpenBLAS beside numpy's. Calling into both starts two
-pools of worker threads that compete for the same cores: a prototype that
-factorized the world's frozen maps with `scipy.linalg` made the `scale`
-benchmark's `setup_s` worse, 0.104 -> 0.145-0.167 s on 2 cores, although
-its factorizations alone were faster.
+scipy bundles its own OpenBLAS beside numpy's, and any scipy import maps it:
+- a prototype that factorized the world's frozen maps with `scipy.linalg`
+  made the `scale` benchmark's `setup_s` worse, 0.104 -> 0.145-0.167 s on
+  2 cores, although its factorizations alone were faster;
+- `scipy.special` (for gelu's erf) and `scipy.ndimage` (for the world's
+  gaussian filter) cost `import mindalign` 26.6 MB of resident memory and
+  one idle BLAS thread. The package now computes both in numpy.
+
+The source guard below names the `scipy.linalg` imports; the subprocess test
+checks the contract itself, on a process that builds a world and runs gelu.
 """
 
 import ast
+import dataclasses
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import mindalign
+from conftest import TINY_WORLD
 
 _BANNED = ("scipy.linalg", "scipy.sparse.linalg")
 _MESSAGE = ("imports {name}, which brings scipy's second OpenBLAS; it raised the "
@@ -52,3 +63,36 @@ def test_the_package_imports_no_scipy_linalg():
     for path in modules:
         for name in _linalg_imports(path.read_text(encoding="utf-8")):
             pytest.fail(f"{path.name} " + _MESSAGE.format(name=name))
+
+
+_PROBE = """
+import json, sys
+import numpy as np
+import mindalign
+from mindalign.tensor import Tensor, gelu, tensor_sum
+from mindalign.world import WorldConfig, generate_world
+
+generate_world(WorldConfig(**json.loads(sys.argv[1])), seed=7)
+x = Tensor(np.linspace(-3.0, 3.0, 24).reshape(4, 6), requires_grad=True)
+tensor_sum(gelu(x)).backward()
+assert x.grad is not None
+maps = []
+if sys.platform.startswith("linux"):
+    with open("/proc/self/maps") as f:
+        maps = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+print(json.dumps({"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  "openblas": maps}))
+"""
+
+
+def test_a_world_and_gelu_load_no_scipy_and_one_openblas():
+    src = str(Path(mindalign.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    world = dataclasses.asdict(TINY_WORLD)
+    done = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(world)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert loaded["scipy"] == []
+    if sys.platform.startswith("linux"):
+        assert len(loaded["openblas"]) == 1, loaded["openblas"]

@@ -7,9 +7,11 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mindalign import tensor as tensor_mod
 from mindalign.tensor import (
     GraphError,
     NonFiniteError,
@@ -92,6 +94,68 @@ class TestForward:
         with pytest.raises(NonFiniteError,
                            match=r"^non-finite value in layernorm variance$"):
             layernorm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)))
+
+
+def _assert_erf_bits(x):
+    """The package's erf has scipy.special.erf's bits, under raised numpy errors."""
+    x = np.asarray(x, dtype=np.float64)
+    want = scipy.special.erf(x)
+    with np.errstate(all="raise"):
+        got = tensor_mod._erf(x)
+    assert got.shape == want.shape
+    bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert bad.size == 0, (x.ravel()[bad][:5], got.ravel()[bad][:5], want.ravel()[bad][:5])
+
+
+class TestErfOracle:
+    """gelu's erf repeats Cephes' steps (scipy.special.erf's algorithm) in numpy."""
+
+    def test_dense_sweep_of_the_rational_branch(self):
+        _assert_erf_bits(np.linspace(-1.0, 1.0, 400_001))
+
+    def test_branch_edges_and_extremes(self):
+        # the |x| = 1 and 8 branch points, the MAXLOG edge of erfc (sqrt(MAXLOG)
+        # is about 26.64), huge finite values that must not overflow, the
+        # smallest normal and a denormal, each with its neighbours and sign
+        edges = np.array([1.0, 8.0, 26.6, 26.641747557046327, 26.7, 1e300,
+                          np.finfo(np.float64).tiny, 5e-324, 1e-160, 0.5, 2.0])
+        near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2 * edges),
+                               [np.finfo(np.float64).max]])
+        _assert_erf_bits(np.concatenate([near, -near]))
+
+    def test_signed_zero(self):
+        got = tensor_mod._erf(np.array([0.0, -0.0]))
+        assert got.tolist() == [0.0, -0.0] and np.signbit(got).tolist() == [False, True]
+
+    @pytest.mark.parametrize("n_tail", [0, 1, tensor_mod._ERF_TAIL_LOOP,
+                                        tensor_mod._ERF_TAIL_LOOP + 1, 200])
+    def test_both_tail_paths(self, n_tail):
+        # up to _ERF_TAIL_LOOP values beyond 1 take the loop, more the vectorised tail
+        r = np.random.Generator(np.random.PCG64(n_tail))
+        tail = r.uniform(1.0, 30.0, n_tail) * r.choice([-1.0, 1.0], n_tail)
+        x = np.concatenate([r.uniform(-1.0, 1.0, 300), tail])
+        _assert_erf_bits(r.permutation(x).reshape(-1, 2 - x.size % 2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(-40.0, 40.0, allow_subnormal=True), max_size=80),
+           st.sampled_from([(-1,), (1, -1), (-1, 1)]))
+    def test_drawn_values(self, values, shape):
+        _assert_erf_bits(np.array(values, dtype=np.float64).reshape(shape))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(-1e308, 1e308))
+    def test_drawn_scalars_of_any_size(self, value):
+        _assert_erf_bits(np.array(value))
+
+    def test_gelu_forward_and_backward_keep_their_formulas(self):
+        x = rand((6, 7), 9) * 2.0
+        a = Tensor(x, requires_grad=True)
+        out = gelu(a)
+        phi = 0.5 * (1.0 + scipy.special.erf(x * (1.0 / np.sqrt(2.0))))
+        assert out.data.tobytes() == (x * phi).tobytes()
+        tensor_sum(out).backward()
+        pdf = np.exp(-0.5 * x * x) * (1.0 / np.sqrt(2.0 * np.pi))
+        assert a.grad.tobytes() == (1.0 * (phi + x * pdf)).tobytes()
 
 
 class TestBackward:

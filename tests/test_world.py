@@ -93,12 +93,28 @@ class TestGenerateWorld:
         _assert_pinv_close(w.decoder, w.encoder)
         _assert_pinv_close(w.vae_pinv, w.vae_map)
 
-    @pytest.mark.parametrize("cfg", [SMALL, WorldConfig(smooth_sigma=0.0)])
+    # every image size up to 16, with sigma 0 (no filter), fractional sigmas,
+    # and sigma = image_hw, whose 4-sigma radius is four times the image, so
+    # the 'reflect' extension repeats it
+    @pytest.mark.parametrize("cfg", [SMALL, WorldConfig(smooth_sigma=0.0)] + [
+        WorldConfig(image_hw=hw, channels=2, smooth_sigma=sigma) for hw in range(1, 17)
+        for sigma in (0.0, 0.3, 0.7, 1.3, hw / 2 + 0.1, float(hw))])
     def test_images_equal_the_out_of_place_oracle(self, cfg):
         got = world_mod._smooth_images(37, cfg, seeds.rng(5, "images"))
         want = smooth_images_out_of_place(37, cfg.image_hw, cfg.channels,
                                           cfg.smooth_sigma, seeds.rng(5, "images"))
         assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(image_hw=st.integers(1, 16), share=st.floats(0.0, 1.0), channels=st.integers(1, 3),
+           n=st.integers(1, 70), seed=st.integers(0, 2 ** 16))
+    def test_drawn_sizes_and_sigmas_equal_the_oracle(self, image_hw, share, channels, n, seed):
+        # n past the filter's block of 32 images exercises a partial last block
+        cfg = WorldConfig(image_hw=image_hw, channels=channels, smooth_sigma=share * image_hw)
+        got = world_mod._smooth_images(n, cfg, seeds.rng(seed, "images"))
+        want = smooth_images_out_of_place(n, image_hw, channels, cfg.smooth_sigma,
+                                          seeds.rng(seed, "images"))
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("deficient", range(10))
