@@ -40,6 +40,12 @@ _SPECIAL_KEYS = {
 _BLOCKS = {"world": WorldConfig, "model": ModelConfig, "train": TrainConfig,
            "eval": EvalConfig}
 
+# the most training iterations of one training run, or evaluation
+# repetitions, that a config may ask for: 400 times what the defaults ask
+# (2400 iterations), and far short of a run that cannot end or a list of
+# scores that memory cannot hold
+WORK_CAP = 10 ** 6
+
 
 def _registry() -> dict[str, str]:
     """Every accepted key and the kind `parse_value` casts it to."""
@@ -78,6 +84,22 @@ def _parse_int_list(raw: str, key: str) -> tuple[int, ...]:
                           f"got {raw!r}") from None
 
 
+def _check_work(world: WorldConfig, train: TrainConfig, ev: EvalConfig) -> None:
+    """Refuse a config that asks for more than `WORK_CAP` training iterations
+    or evaluation repetitions, counted from the config alone."""
+    # one subject's training trials in batches of the smaller batch size: the
+    # most iterations an epoch of any protocol takes
+    per_epoch = world.n_sessions * world.trials_per_session // min(
+        train.batch_size, train.samples_per_subject_per_batch)
+    if train.epochs * per_epoch > WORK_CAP:
+        raise ConfigError(f"train.epochs = {train.epochs} asks for up to "
+                          f"{train.epochs * per_epoch} training iterations ({per_epoch} "
+                          f"an epoch), past the cap of {WORK_CAP}")
+    if ev.repetitions > WORK_CAP:
+        raise ConfigError(f"eval.repetitions = {ev.repetitions} is past the cap of "
+                          f"{WORK_CAP}")
+
+
 def parse_config(text: str) -> RunConfig:
     """Materialize a full RunConfig from flat text; unknown keys are errors."""
     return _materialize(parse_flat(text))
@@ -112,6 +134,7 @@ def _materialize(raw: dict[str, str]) -> RunConfig:
     model.validate(world)
     train.validate()
     ev.validate(world.n_shared)
+    _check_work(world, train, ev)
 
     command = str(values.get("command", ""))
     if command and command not in COMMANDS:

@@ -590,6 +590,7 @@ def run_scaling(world: WorldSpec, datasets: dict[str, SubjectDataset],
             else:
                 mp, _ = train_from_scratch(world, target, k, kcfg, mcfg)
             result_arms[arm][k] = evaluate_model(mp, world, target, eval_cfg)
+            del mp  # one finished model at a time
     if "pretrained" in result_arms and n_sessions in result_arms["pretrained"]:
         anchor = result_arms["pretrained"][n_sessions]
     else:

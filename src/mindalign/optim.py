@@ -25,6 +25,15 @@ class AdamW:
     default). A parameter without a gradient skips the adaptive step but
     still decays if masked in. `lr` may be reassigned between steps.
 
+    A step can run whole, in `step`, or a parameter at a time: `step_param`
+    updates one parameter as soon as its gradient is final (it is
+    ``Tensor.backward``'s ``on_leaf`` hook) and drops that gradient, and
+    `step` then finishes the step, updating every parameter not yet stepped
+    that holds a gradient or decays. Either way the step counter advances
+    once per step, and every parameter takes that step's `lr`, bias
+    corrections and `eps`, fixed when the step's first parameter is updated,
+    so the two ways give the same bits.
+
     The moments are kept scaled: `m[name]` holds `m / (1 - b1)` and
     `v[name]` holds `v / (1 - b2)` of the published update, so neither
     recurrence scales the gradient, and the bias corrections fold into one
@@ -33,15 +42,16 @@ class AdamW:
     rounding differs in the last bits.
 
     The moments are allocated once, the first time the parameter has a
-    gradient. A step runs blocked and in place: it walks the flat views of
+    gradient. An update runs blocked and in place: it walks the flat views of
     parameter, gradient and moments in `_BLOCK`-element blocks through two
     scratch buffers, and allocates nothing after the first step. Each
     element goes through the same float64 operations in one fixed order
     (decay, `m`, `v`, the step: 10 ufunc passes, 11 with decay, as the
-    comments in `step` spell out), so the bits do not depend on the block
+    comments in `_update` spell out), so the bits do not depend on the block
     size. Bad input (a non-finite or non-positive `lr`, a non-finite or
     negative `weight_decay`, a gradient's shape, a parameter that is not
-    C-contiguous) raises before anything changes.
+    C-contiguous) raises before anything changes: in `step`, before any
+    parameter is written.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 0.0,
@@ -54,72 +64,112 @@ class AdamW:
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self._scratch = (np.empty(_BLOCK), np.empty(_BLOCK))
+        self._names = {id(p): name for name, p in params.items()}
+        # the step under way: (lr, step size, eps), and the parameters it has updated
+        self._open: tuple[float, float, float] | None = None
+        self._stepped: set[str] = set()
 
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.zero_grad()
 
     def step(self) -> None:
+        """Update every parameter not yet stepped this step, and close it."""
+        work = []
+        for name, p in self.params.items():
+            if name in self._stepped:
+                continue
+            decay = self._decay(name)
+            if p.grad is None and not decay:
+                continue
+            self._check(name, p)
+            work.append((name, p, decay))
+        self._begin()
+        for name, p, decay in work:
+            self._update(name, p.data, p.grad, decay)
+        self._open = None
+        self._stepped.clear()
+
+    def step_param(self, p: Tensor) -> None:
+        """Update one of the parameters with its final gradient, inside the
+        step that `step` closes, and drop the gradient. A tensor that is not
+        one of the parameters is ignored; a parameter without a gradient is
+        left to `step`, which decays it if masked in."""
+        name = self._names.get(id(p))
+        if name is None or p.grad is None:
+            return
+        self._check(name, p)
+        self._begin()
+        self._update(name, p.data, p.grad, self._decay(name))
+        self._stepped.add(name)
+        p.grad = None
+
+    def _decay(self, name: str) -> float:
+        masked = self.decay_mask is None or self.decay_mask.get(name, False)
+        return self.weight_decay if masked else 0.0
+
+    @staticmethod
+    def _check(name: str, p: Tensor) -> None:
+        if p.grad is not None and p.grad.shape != p.data.shape:
+            raise ShapeError(f"grad shape {p.grad.shape} != param shape {p.data.shape} "
+                             f"for {name}")
+        # a flat view of any other layout is a copy, and the update would be lost
+        if not p.data.flags.c_contiguous:
+            raise ShapeError(f"param {name} is not C-contiguous")
+
+    def _begin(self) -> None:
+        """Open the step, once: check `lr` and `weight_decay`, advance the
+        counter and fix the step's coefficients."""
+        if self._open is not None:
+            return
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ValueError(f"weight_decay must be finite and non-negative, "
                              f"got {self.weight_decay}")
-        work = []
-        for name, p in self.params.items():
-            g = p.grad
-            decay = self.weight_decay if (self.decay_mask is None
-                                          or self.decay_mask.get(name, False)) else 0.0
-            if g is None and not decay:
-                continue
-            if g is not None and g.shape != p.data.shape:
-                raise ShapeError(f"grad shape {g.shape} != param shape {p.data.shape} "
-                                 f"for {name}")
-            # a flat view of any other layout is a copy, and the update would be lost
-            if not p.data.flags.c_contiguous:
-                raise ShapeError(f"param {name} is not C-contiguous")
-            work.append((name, p.data, g, decay))
         self.step_count += 1
         t = self.step_count
-        b1, b2, lr = _BETA1, _BETA2, self.lr
-        bc1 = 1.0 - b1 ** t
-        bc2 = 1.0 - b2 ** t
+        bc1 = 1.0 - _BETA1 ** t
+        bc2 = 1.0 - _BETA2 ** t
         # with the scaled moments, m_hat = (1-b1)*m/bc1 and sqrt(v_hat) = c*sqrt(v)
-        c = math.sqrt((1.0 - b2) / bc2)
-        step_size = lr * (1.0 - b1) / (bc1 * c)
-        eps = _EPS / c
+        c = math.sqrt((1.0 - _BETA2) / bc2)
+        self._open = (self.lr, self.lr * (1.0 - _BETA1) / (bc1 * c), _EPS / c)
+
+    def _update(self, name: str, data: np.ndarray, g: np.ndarray | None,
+                decay: float) -> None:
+        b1, b2 = _BETA1, _BETA2
+        lr, step_size, eps = self._open
         s1, s2 = self._scratch
-        for name, data, g, decay in work:
-            p = data.reshape(-1)
-            if g is not None:
-                if name not in self.m:
-                    self.m[name] = np.zeros(data.shape)
-                    self.v[name] = np.zeros(data.shape)
-                g = g.reshape(-1)
-                m = self.m[name].reshape(-1)
-                v = self.v[name].reshape(-1)
-            for lo in range(0, p.size, _BLOCK):
-                hi = lo + _BLOCK
-                pb = p[lo:hi]
-                if decay:  # p *= 1 - lr*decay
-                    np.multiply(pb, 1.0 - lr * decay, out=pb)
-                if g is None:
-                    continue
-                u, w = s1[:pb.size], s2[:pb.size]
-                gb, mb, vb = g[lo:hi], m[lo:hi], v[lo:hi]
-                # scaled moments: m = b1*m + g
-                np.multiply(mb, b1, out=mb)
-                np.add(mb, gb, out=mb)
-                # v = b2*v + g*g
-                np.multiply(vb, b2, out=vb)
-                np.multiply(gb, gb, out=u)
-                np.add(vb, u, out=vb)
-                # p -= (step_size*m) / (sqrt(v) + eps)
-                np.sqrt(vb, out=w)
-                np.add(w, eps, out=w)
-                np.multiply(mb, step_size, out=u)
-                np.divide(u, w, out=u)
-                np.subtract(pb, u, out=pb)
+        p = data.reshape(-1)
+        if g is not None:
+            if name not in self.m:
+                self.m[name] = np.zeros(data.shape)
+                self.v[name] = np.zeros(data.shape)
+            g = g.reshape(-1)
+            m = self.m[name].reshape(-1)
+            v = self.v[name].reshape(-1)
+        for lo in range(0, p.size, _BLOCK):
+            hi = lo + _BLOCK
+            pb = p[lo:hi]
+            if decay:  # p *= 1 - lr*decay
+                np.multiply(pb, 1.0 - lr * decay, out=pb)
+            if g is None:
+                continue
+            u, w = s1[:pb.size], s2[:pb.size]
+            gb, mb, vb = g[lo:hi], m[lo:hi], v[lo:hi]
+            # scaled moments: m = b1*m + g
+            np.multiply(mb, b1, out=mb)
+            np.add(mb, gb, out=mb)
+            # v = b2*v + g*g
+            np.multiply(vb, b2, out=vb)
+            np.multiply(gb, gb, out=u)
+            np.add(vb, u, out=vb)
+            # p -= (step_size*m) / (sqrt(v) + eps)
+            np.sqrt(vb, out=w)
+            np.add(w, eps, out=w)
+            np.multiply(mb, step_size, out=u)
+            np.divide(u, w, out=u)
+            np.subtract(pb, u, out=pb)
 
 
 def warmup_cosine_lr(step: int, total_steps: int, base_lr: float,

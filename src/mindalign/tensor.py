@@ -158,8 +158,19 @@ class Tensor:
         else:
             self.grad += g
 
-    def backward(self, upstream: "Tensor | np.ndarray | None" = None) -> None:
-        """Accumulate gradients of a scalar (or upstream-weighted) output."""
+    def backward(self, upstream: "Tensor | np.ndarray | None" = None,
+                 on_leaf: "Callable[[Tensor], None] | None" = None) -> None:
+        """Accumulate gradients of a scalar (or upstream-weighted) output.
+
+        With ``on_leaf``, each leaf that requires grad is handed to it as soon
+        as the last node that consumes the leaf has run its closure, when its
+        gradient is final; and each interior node's gradient is dropped once
+        its closure has run, so a pass holds only the gradients not yet
+        consumed. ``on_leaf`` may change the leaf's data in place: every
+        closure that reads a tensor's data has that tensor as a parent, so it
+        has run by then. A leaf that no node consumes (the output itself) is
+        not handed over.
+        """
         if upstream is None:
             if self.size != 1:
                 raise GraphError("backward on non-scalar output requires upstream")
@@ -182,10 +193,27 @@ class Tensor:
             stack.append((node, True))
             for p in node._parents:
                 stack.append((p, False))
+        # consumers of each leaf that requires grad, one per parent slot
+        pending: dict[int, int] = {}
+        if on_leaf is not None:
+            for node in topo:
+                for p in node._parents:
+                    if p.requires_grad and p._backward_fn is None:
+                        pending[id(p)] = pending.get(id(p), 0) + 1
         self._acc(up)
         for node in reversed(topo):
-            if node._backward_fn is not None and node.grad is not None:
+            if node._backward_fn is None:
+                continue
+            if node.grad is not None:
                 node._backward_fn(node.grad)
+            if on_leaf is not None:
+                node.grad = None
+                for p in node._parents:
+                    left = pending.get(id(p))
+                    if left is not None:
+                        pending[id(p)] = left - 1
+                        if left == 1:
+                            on_leaf(p)
 
     # -- operator sugar -------------------------------------------------
 

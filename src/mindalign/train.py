@@ -148,10 +148,16 @@ def _train_loop(world: WorldSpec, datasets: dict[str, SubjectDataset],
                 master: int) -> TrainLog:
     """Shared optimization loop over equal per-subject batch slices.
 
-    Steps exactly the parameters of ``mp`` that require grad, in place, and
-    releases their gradients when it returns: a trained model holds only its
-    weights. A numeric failure is re-raised with its type and the iteration,
-    phase and part (forward, backward or optimizer step) appended.
+    Steps exactly the parameters of ``mp`` that require grad, in place. Each
+    parameter takes its AdamW update inside backward, as soon as its gradient
+    is final, and the gradient goes with it; ``opt.step()`` then closes the
+    iteration's step, decaying the masked parameters that got no gradient.
+    So a step holds the weights, both moments, the gradients not yet consumed
+    and one iteration's graph, which is dropped before the next forward; a
+    trained model holds only its weights. The bits are those of a full
+    backward followed by one whole step. A numeric failure is re-raised with
+    its type and the iteration, phase and part (forward, backward or
+    optimizer step) appended.
     """
     subject_ids = sorted(datasets)
     train_idx = {sid: np.flatnonzero(datasets[sid].train_mask) for sid in subject_ids}
@@ -172,6 +178,13 @@ def _train_loop(world: WorldSpec, datasets: dict[str, SubjectDataset],
                 decay_mask=_decay_mask(params))
     log = TrainLog()
     it = 0
+
+    def step_in_backward(p: Tensor) -> None:
+        nonlocal part
+        part = "optimizer step"
+        opt.step_param(p)
+        part = "backward"
+
     for epoch in range(cfg.epochs):
         # shuffled positions into each subject's training trials
         orders = {sid: seeds.rng(master, "shuffle", epoch, sid).permutation(len(idx))
@@ -188,15 +201,16 @@ def _train_loop(world: WorldSpec, datasets: dict[str, SubjectDataset],
                                            tok_true, master, it)
                 total = total_loss(*loss_parts, cfg.weights)
                 opt.zero_grad()
-                part = "backward"
-                total.backward()
                 opt.lr = warmup_cosine_lr(it, total_iters, cfg.lr, cfg.warmup_frac)
+                part = "backward"
+                total.backward(on_leaf=step_in_backward)
                 part = "optimizer step"
                 opt.step()
             except FloatingPointError as exc:  # NonFiniteError included
                 raise type(exc)(f"{exc} (iteration {it}, {phase}, {part})") from exc
             log.add(it, phase, loss_parts[0].item(), loss_parts[1].item(),
                     loss_parts[2].item(), total.item())
+            del loss_parts, total  # the graph, before the next forward
             for sid in subject_ids:
                 log.used_trials.update((sid, int(r)) for r in batch_rows[sid])
             it += 1
@@ -395,6 +409,7 @@ def ablation_run(world: WorldSpec, dataset: SubjectDataset, k_sessions: int,
         mp, _ = train_from_scratch(world, dataset, k_sessions, vcfg, mcfg)
         reports[variant] = evaluate_model(mp, world, dataset, eval_cfg,
                                           include_reconstruction=vcfg.use_prior)
+        del mp  # one finished model at a time
     return reports
 
 

@@ -220,6 +220,57 @@ def adamw_unblocked_step(params, grads, m, v, t, lr, b1, b2, eps, wd, decay_mask
         p -= step_size * mm / (np.sqrt(vv) + eps_c)
 
 
+def train_loop_stepping_after_backward(world, datasets, mp, cfg, per_subject, master):
+    """`_train_loop`'s optimization as a full backward followed by one whole
+    AdamW step per iteration, updating ``mp`` in place; returns the moments
+    ``(m, v)`` by parameter name.
+
+    Not a scalar loop: it draws the batches and builds the losses with the
+    package's own calls, in the loop's order, and steps with
+    `adamw_unblocked_step`. It holds every gradient until the step, the order
+    that stepping each parameter inside backward must match bit for bit.
+    """
+    from mindalign import seeds
+    from mindalign.losses import loss_phase, total_loss
+    from mindalign.optim import warmup_cosine_lr
+    from mindalign.train import _batch_losses
+    from mindalign.world import token_targets
+
+    subject_ids = sorted(datasets)
+    train_idx = {sid: np.flatnonzero(datasets[sid].train_mask) for sid in subject_ids}
+    iters_per_epoch = min(len(v) for v in train_idx.values()) // per_subject
+    total_iters = cfg.epochs * iters_per_epoch
+    tok_train = {sid: token_targets(world, world.images[datasets[sid].image_ids[idx]])
+                 for sid, idx in train_idx.items()}
+    params = {k: p for k, p in mp.params.items() if p.requires_grad}
+    # weight decay on the ridge weights alone
+    mask = {k: k.startswith("ridge.") and k.endswith(".W") for k in params}
+    m, v = {}, {}
+    it = 0
+    for epoch in range(cfg.epochs):
+        orders = {sid: seeds.rng(master, "shuffle", epoch, sid).permutation(len(idx))
+                  for sid, idx in train_idx.items()}
+        for step in range(iters_per_epoch):
+            pos = {sid: orders[sid][step * per_subject:(step + 1) * per_subject]
+                   for sid in subject_ids}
+            rows = {sid: train_idx[sid][pos[sid]] for sid in subject_ids}
+            tok_true = np.concatenate([tok_train[sid][pos[sid]] for sid in subject_ids])
+            for p in params.values():
+                p.grad = None
+            losses = _batch_losses(world, datasets, mp, cfg, loss_phase(it, total_iters),
+                                   rows, tok_true, master, it)
+            total_loss(*losses, cfg.weights).backward()
+            adamw_unblocked_step(
+                {k: p.data for k, p in params.items()},
+                {k: p.grad for k, p in params.items() if p.grad is not None}, m, v,
+                it + 1, warmup_cosine_lr(it, total_iters, cfg.lr, cfg.warmup_frac),
+                0.9, 0.999, 1e-8, cfg.ridge_weight_decay, mask)
+            it += 1
+    for p in params.values():
+        p.grad = None
+    return m, v
+
+
 def smooth_images_out_of_place(n, image_hw, channels, smooth_sigma, rng) -> np.ndarray:
     """The world's stimulus pool written out of place, one temporary per term.
 

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mindalign.cli import _build_parser, main
-from mindalign.config import echo_config, load_config, parse_config
+from mindalign.config import WORK_CAP, echo_config, load_config, parse_config
 from mindalign.errors import ConfigError
 from mindalign.model import load_checkpoint, save_checkpoint
 from mindalign.store import read_arrays, write_arrays
@@ -68,6 +68,18 @@ class TestConfig:
         for text in ("", SMALL_CFG):
             rc = parse_config(text)
             assert parse_config(echo_config(rc)) == rc
+
+    def test_work_cap_admits_exactly_up_to_the_cap(self):
+        # SMALL_CFG's epoch is 3 sessions x 12 trials in batches of 3 (the
+        # smaller of its two batch sizes): 12 iterations, 999996 in 83333 epochs
+        assert parse_config(SMALL_CFG.replace("train.epochs = 2", "train.epochs = 83333")
+                            ).train.epochs == 83333
+        with pytest.raises(ConfigError, match=r"^train.epochs = 83334 asks for up to "
+                                              r"1000008 training iterations"):
+            parse_config(SMALL_CFG.replace("train.epochs = 2", "train.epochs = 83334"))
+        assert parse_config(f"eval.repetitions = {WORK_CAP}\n").eval.repetitions == WORK_CAP
+        with pytest.raises(ConfigError, match="^eval.repetitions = 1000001 is past the cap"):
+            parse_config(f"eval.repetitions = {WORK_CAP + 1}\n")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -692,6 +704,12 @@ def test_layernorm_variance_overflow_exits_4_in_one_line(tmp_path, capsys):
     ("scratch", f"model.h = {2 ** 70}"),
     ("scratch", f"model.t_steps = {2 ** 70}"),
     ("scratch", f"model.d_retr = {2 ** 70}"),
+    # work past the cap: a run that would never end, a list of 2**40 scores,
+    # and the first epoch count past it (83334 x 12 iterations)
+    ("scratch", f"train.epochs = {2 ** 70}"),
+    ("gen-data", "train.epochs = 83334"),
+    ("eval", f"eval.repetitions = {2 ** 70}"),
+    ("eval", f"eval.repetitions = {2 ** 40}"),
     ("scratch", ""),  # no --data
 ])
 def test_out_of_range_parameter_exits_2_and_writes_nothing(tmp_path, capsys, command,

@@ -509,3 +509,26 @@ class TestRandomGraphs:
             else:
                 assert t.grad.shape == t.shape
                 assert t.grad.tobytes() == full[name].grad.tobytes()
+
+    @settings(max_examples=40)
+    @given(steps=_GRAPH_STEPS, seed=st.integers(0, 2 ** 16))
+    def test_leaves_are_handed_over_once_no_closure_reads_them(self, steps, seed):
+        # every closure that reads a tensor's data has it as a parent, so a
+        # callback that overwrites a leaf's data the moment the leaf is handed
+        # over changes no gradient: each leaf's gradient is final by then
+        plain, graph, _ = _random_graph(steps, seed)
+        graph(plain).backward()
+        fused, graph, built = _random_graph(steps, seed)
+        names = {id(t): k for k, t in fused.items()}
+        handed = {}
+
+        def overwrite(leaf):
+            assert names[id(leaf)] not in handed
+            handed[names[id(leaf)]] = leaf.grad.copy()
+            leaf.data += 1.0
+
+        graph(fused).backward(on_leaf=overwrite)
+        assert sorted(handed) == sorted(k for k, t in plain.items() if t.grad is not None)
+        for name, g in handed.items():
+            assert g.tobytes() == fused[name].grad.tobytes() == plain[name].grad.tobytes()
+        assert [t for t in built if t.grad is not None] == []

@@ -40,6 +40,8 @@ from mindalign.world import (
     token_targets,
 )
 
+from oracles import train_loop_stepping_after_backward
+
 FAST = TrainConfig(epochs=2, batch_size=6, samples_per_subject_per_batch=3,
                    seed=3, held_out_subject="s3")
 
@@ -434,6 +436,54 @@ def test_trainlog_csv_roundtrip(tmp_path, tiny_world, tiny_datasets, tiny_mcfg):
     # repr round-trip keeps float values exact
     for logged, parsed in zip(log.rows, rows[1:]):
         assert float(parsed[5]) == logged[5]
+
+
+@pytest.mark.parametrize("ridge_only", [False, True], ids=["all", "ridge-only"])
+def test_stepping_inside_backward_equals_stepping_after_it(tiny_world, tiny_datasets,
+                                                           tiny_mcfg, monkeypatch,
+                                                           ridge_only):
+    # 2 epochs of 3 batches of 6 from one session: iterations 0-1 are
+    # BiMixCo, which consumes the ridge and backbone weights twice, and 2-5
+    # SoftCLIP, so t runs 1..6 over both phases. Subject s2 has a ridge layer
+    # but no data: its weight decays every step without a gradient.
+    datasets = {"s3": tiny_datasets["s3"].restrict_sessions(1)}
+    subjects = {"s3": datasets["s3"].n_voxels, "s2": tiny_datasets["s2"].n_voxels}
+    models = [init_model(tiny_world.config, tiny_mcfg, subjects, seed=11) for _ in "ab"]
+    for mp in models:
+        for name, p in mp.params.items():
+            p.requires_grad = p.requires_grad and (name.startswith("ridge.")
+                                                   or not ridge_only)
+    made = []
+
+    class Recorded(AdamW):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.held_at_step = []
+            made.append(self)
+
+        def step(self):
+            self.held_at_step.append([k for k, p in self.params.items()
+                                      if p.grad is not None])
+            super().step()
+
+    monkeypatch.setattr(train_mod, "AdamW", Recorded)
+    cfg = replace(FAST, ridge_weight_decay=0.3)
+    master = seeds.derive(cfg.seed, "finetune")
+    train_mod._train_loop(tiny_world, datasets, models[0], cfg, 6, master)
+    m, v = train_loop_stepping_after_backward(tiny_world, datasets, models[1], cfg, 6,
+                                              master)
+    (opt,) = made
+    assert opt.step_count == 6
+    # every gradient was consumed inside backward
+    assert opt.held_at_step == [[]] * 6
+    assert sorted(opt.m) == sorted(m) and "ridge.s3.W" in m
+    # without a gradient, yet decayed: s2's ridge weight
+    assert "ridge.s2.W" in set(opt.params) - set(m)
+    for name, p in models[0].params.items():
+        assert p.data.tobytes() == models[1].params[name].data.tobytes(), name
+    for name in m:
+        assert opt.m[name].tobytes() == m[name].tobytes(), name
+        assert opt.v[name].tobytes() == v[name].tobytes(), name
 
 
 class TestMemory:
