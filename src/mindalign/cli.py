@@ -10,7 +10,6 @@ error, 4 numeric error.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -20,6 +19,7 @@ from . import seeds
 from .config import RunConfig, echo_config, load_config
 from .errors import ConfigError, DataError
 from .evaluate import evaluate_model, run_scaling, save_image
+from .flatkv import write_csv
 from .model import load_checkpoint, save_checkpoint
 from .store import write_arrays
 from .tensor import GraphError, NonFiniteError, ShapeError
@@ -169,7 +169,7 @@ def cmd_eval(rc: RunConfig) -> int:
     rec_dir = out / "recons"
     rec_dir.mkdir(exist_ok=True)
     recons = report.recons  # the images the report's metrics were computed from
-    truths = world.images[ds.image_ids[ds.is_shared]]
+    truths = ds.shared_images(world)
     for i in range(recons.shape[0]):
         save_image(rec_dir / f"recon_{i:03d}.ppm", recons[i])
         save_image(rec_dir / f"truth_{i:03d}.ppm", truths[i])
@@ -199,14 +199,12 @@ def cmd_ablate(rc: RunConfig) -> int:
     reports = ablation_run(world, _held_out(rc, datasets), rc.train.n_finetune_sessions,
                            rc.train, rc.model, rc.eval,
                            variants=rc.ablate_variants)
-    with open(out / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "metric_name", "value"])
-        for variant, report in reports.items():
-            safe = variant.replace("+", "_")
-            report.save(out / f"report_{safe}.txt")
-            for name, value in sorted(report.metrics.items()):
-                writer.writerow([variant, name, repr(float(value))])
+    for variant, report in reports.items():
+        safe = variant.replace("+", "_")
+        report.save(out / f"report_{safe}.txt")
+    write_csv(out / "summary.csv", ("variant", "metric_name", "value"),
+              [(variant, name, value) for variant, report in reports.items()
+               for name, value in sorted(report.metrics.items())])
     return EXIT_OK
 
 

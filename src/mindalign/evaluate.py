@@ -9,7 +9,6 @@ is the full-data pretrained model.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -18,7 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import seeds
 from .errors import ConfigError, DataError
-from .flatkv import format_flat
+from .flatkv import format_flat, write_csv
 from .model import (
     ModelParams,
     backbone_forward,
@@ -446,7 +445,7 @@ def evaluate_model(mp: ModelParams, world: WorldSpec, dataset: SubjectDataset,
     test_vox = dataset.shared_voxels()
     n_test = test_vox.shape[0]
     eval_cfg.validate(n_test)
-    test_imgs = world.images[dataset.image_ids[dataset.is_shared]]
+    test_imgs = dataset.shared_images(world)
 
     emb = retrieval_project(mp, backbone_forward(mp, ridge_forward(mp, sid, test_vox)))
     test_tokens = token_targets(world, test_imgs)
@@ -475,7 +474,7 @@ def random_baseline_report(world: WorldSpec, dataset: SubjectDataset,
 
     Retrieval has no image-based analog, so it anchors at chance.
     """
-    test_imgs = world.images[dataset.image_ids[dataset.is_shared]]
+    test_imgs = dataset.shared_images(world)
     n = test_imgs.shape[0]
     eval_cfg.validate(n)
     rand_imgs = _smooth_images(n, world.config,
@@ -509,10 +508,6 @@ class ScalingResult:
                         metrics: tuple[str, ...] = CORE_METRICS) -> float:
         return float(np.mean([self.normalized(arm, k, m) for m in metrics]))
 
-    def normalized_median(self, arm: str, k: int,
-                          metrics: tuple[str, ...] = CORE_METRICS) -> float:
-        return float(np.median([self.normalized(arm, k, m) for m in metrics]))
-
     def valid_norm_metrics(self) -> tuple[str, ...]:
         """Core metrics whose baseline-to-anchor span is non-degenerate."""
         return tuple(m for m in CORE_METRICS
@@ -525,14 +520,12 @@ class ScalingResult:
             for k, report in sorted(curve.items()):
                 for name, value in sorted(report.metrics.items()):
                     rows.append((arm, k, name, value, self.seed))
-                for name in valid:
-                    rows.append((arm, k, f"norm_{name}",
-                                 self.normalized(arm, k, name), self.seed))
+                norm = [self.normalized(arm, k, name) for name in valid]
+                rows += [(arm, k, f"norm_{name}", v, self.seed)
+                         for name, v in zip(valid, norm)]
                 if valid:
-                    rows.append((arm, k, "norm_mean",
-                                 self.normalized_mean(arm, k, valid), self.seed))
-                    rows.append((arm, k, "norm_median",
-                                 self.normalized_median(arm, k, valid), self.seed))
+                    rows.append((arm, k, "norm_mean", float(np.mean(norm)), self.seed))
+                    rows.append((arm, k, "norm_median", float(np.median(norm)), self.seed))
         for name, value in sorted(self.baseline.metrics.items()):
             rows.append(("baseline", 0, name, value, self.seed))
         for name, value in sorted(self.anchor.metrics.items()):
@@ -540,11 +533,8 @@ class ScalingResult:
         return rows
 
     def write_csv(self, path: Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["arm", "k_sessions", "metric_name", "value", "seed"])
-            for arm, k, name, value, seed in self.csv_rows():
-                writer.writerow([arm, k, name, repr(float(value)), seed])
+        write_csv(path, ("arm", "k_sessions", "metric_name", "value", "seed"),
+                  self.csv_rows())
 
 
 def check_scaling_sweep(session_grid: tuple[int, ...], arms: tuple[str, ...]) -> None:

@@ -1,4 +1,4 @@
-"""Flat dotted-key text format: one `key = value` per line.
+"""Flat dotted-key text format, one `key = value` per line, and CSV records.
 
 Used for config files, config echoes, world manifests and the metadata of
 array files. Chosen for diffability; values are written with repr-level
@@ -7,6 +7,7 @@ precision so that parse(format(d)) round-trips exactly.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import fields
 
@@ -81,3 +82,12 @@ def parse_fields(cls, items: dict[str, str], prefix: str):
     """Build the dataclass ``cls`` from the ``<prefix>.<field>`` keys of ``items``."""
     return cls(**{f.name: parse_value(items.get(f"{prefix}.{f.name}"), f.type,
                                       f"{prefix}.{f.name}") for f in fields(cls)})
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` as CSV, each float cell as its repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row]
+                         for row in rows)

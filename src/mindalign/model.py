@@ -94,15 +94,26 @@ class ModelConfig:
             raise ConfigError(f"the model would hold {total} parameters at world.voxels_max "
                               f"voxels per subject, past numpy's index range ({INDEX_MAX}); "
                               f"the largest part is the {part}")
+        # as t_steps grows, the schedule's last two steps are the first pair to
+        # meet, on its 1e-12 floor (from 1,558,451 steps on)
+        last = _cosine_alpha_bar(np.array([self.t_steps - 1, self.t_steps]), self.t_steps)
+        if not last[1] < last[0]:
+            raise ConfigError(f"model.t_steps = {self.t_steps} puts the cosine schedule's "
+                              f"last two steps on its 1e-12 floor; alpha_bar must decrease")
+
+
+def _cosine_alpha_bar(steps: np.ndarray, t_steps: int) -> np.ndarray:
+    """The cosine schedule's ``alpha_bar`` at ``steps`` (1 to ``t_steps``), elementwise."""
+    s = 0.008
+    grid = (steps / t_steps + s) / (1 + s) * np.pi / 2
+    return np.clip(np.cos(grid) ** 2 / np.cos(s / (1 + s) * np.pi / 2) ** 2, 1e-12, 1.0)
 
 
 def make_schedule(t_steps: int) -> np.ndarray:
     """The cosine schedule (Nichol & Dhariwal, 2021): ``alpha_bar``, decreasing in (0, 1]."""
     if t_steps < 1:
         raise ConfigError("t_steps must be >= 1")
-    s = 0.008
-    grid = (np.arange(1, t_steps + 1) / t_steps + s) / (1 + s) * np.pi / 2
-    alpha_bar = np.clip(np.cos(grid) ** 2 / np.cos(s / (1 + s) * np.pi / 2) ** 2, 1e-12, 1.0)
+    alpha_bar = _cosine_alpha_bar(np.arange(1, t_steps + 1), t_steps)
     if np.any(np.diff(alpha_bar) >= 0):
         raise ConfigError("alpha_bar must be strictly decreasing in (0, 1]")
     return alpha_bar
@@ -394,18 +405,15 @@ def _res_blocks(mp: ModelParams, h: Tensor) -> Tensor:
     return h
 
 
-def _denoise_core(mp: ModelParams, x_t: Tensor, t: np.ndarray, cemb: Tensor) -> Tensor:
+def denoise(mp: ModelParams, x_t, t, cond_tokens) -> Tensor:
+    """Predict the clean token embedding from (noised tokens, step, conditioning)."""
     p = mp.params
+    x_t = _flat_tokens(mp, x_t)
+    cemb = _cond_embed(mp, _flat_tokens(mp, cond_tokens))
     temb = tensor_slice(p["prior.temb"], np.asarray(t, dtype=np.int64))
     h = gelu(linear(concat([x_t, temb, cemb], axis=1),
                     p["prior.inp.W"], p["prior.inp.b"]))
     return linear(_res_blocks(mp, h), p["prior.out.W"], p["prior.out.b"])
-
-
-def denoise(mp: ModelParams, x_t, t, cond_tokens) -> Tensor:
-    """Predict the clean token embedding from (noised tokens, step, conditioning)."""
-    return _denoise_core(mp, _flat_tokens(mp, x_t), t,
-                         _cond_embed(mp, _flat_tokens(mp, cond_tokens)))
 
 
 def prior_train_step(mp: ModelParams, backbone_tokens, target_tokens, t,

@@ -11,7 +11,6 @@ consumed trial ids is kept on the log to make that checkable.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 
@@ -19,6 +18,7 @@ import numpy as np
 
 from . import seeds
 from .errors import ConfigError, DataError, SubjectLeakError
+from .flatkv import write_csv
 from .losses import (
     PHASE_BIMIXCO,
     LossWeights,
@@ -121,13 +121,8 @@ class TrainLog:
         return self.rows[-1][-1]
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "phase", "prior_l", "contrastive_l",
-                             "lowlevel_l", "total"])
-            for row in self.rows:
-                writer.writerow([row[0], row[1], repr(row[2]), repr(row[3]),
-                                 repr(row[4]), repr(row[5])])
+        write_csv(path, ("iteration", "phase", "prior_l", "contrastive_l", "lowlevel_l",
+                         "total"), self.rows)
 
 
 def _require_normalized(datasets: dict[str, SubjectDataset]) -> None:
@@ -152,7 +147,8 @@ def _train_loop(world: WorldSpec, datasets: dict[str, SubjectDataset],
     parameter takes its AdamW update inside backward, as soon as its gradient
     is final, and the gradient goes with it; ``opt.step()`` then closes the
     iteration's step, decaying the masked parameters that got no gradient.
-    So a step holds the weights, both moments, the gradients not yet consumed
+    So no gradient outlives its backward pass, and there is none to clear.
+    A step holds the weights, both moments, the gradients not yet consumed
     and one iteration's graph, which is dropped before the next forward; a
     trained model holds only its weights. The bits are those of a full
     backward followed by one whole step. A numeric failure is re-raised with
@@ -200,7 +196,6 @@ def _train_loop(world: WorldSpec, datasets: dict[str, SubjectDataset],
                 loss_parts = _batch_losses(world, datasets, mp, cfg, phase, batch_rows,
                                            tok_true, master, it)
                 total = total_loss(*loss_parts, cfg.weights)
-                opt.zero_grad()
                 opt.lr = warmup_cosine_lr(it, total_iters, cfg.lr, cfg.warmup_frac)
                 part = "backward"
                 total.backward(on_leaf=step_in_backward)
@@ -214,7 +209,6 @@ def _train_loop(world: WorldSpec, datasets: dict[str, SubjectDataset],
             for sid in subject_ids:
                 log.used_trials.update((sid, int(r)) for r in batch_rows[sid])
             it += 1
-    opt.zero_grad()
     return log
 
 
@@ -419,8 +413,9 @@ def train_converter(mp: ModelParams, world: WorldSpec, encoder_b, images: np.nda
     """Fit the token-space converter on (primary tokens, secondary tokens) pairs.
 
     Returns the final training MSE. The converter is trained in place, also
-    when a ridge-only fine-tune left its parameters without ``requires_grad``,
-    and keeps no gradients afterwards.
+    when a ridge-only fine-tune left its parameters without ``requires_grad``.
+    As in `_train_loop`, each parameter takes its AdamW update inside
+    backward and drops its gradient, so the converter keeps no gradients.
     """
     tok_a = token_targets(world, images).reshape(
         images.shape[0], world.config.n_tokens, world.config.d_token)
@@ -437,9 +432,7 @@ def train_converter(mp: ModelParams, world: WorldSpec, encoder_b, images: np.nda
         for lo in range(0, n - batch_size + 1, batch_size):
             rows = order[lo:lo + batch_size]
             loss = mse_loss(converter_forward(mp, tok_a[rows]), Tensor(tok_b[rows]))
-            opt.zero_grad()
-            loss.backward()
+            loss.backward(on_leaf=opt.step_param)
             opt.step()
             last = loss.item()
-    opt.zero_grad()
     return last

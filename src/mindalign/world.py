@@ -29,8 +29,6 @@ STD_FLOOR = 1e-6
 REGION_NAMES = ("V1", "V2", "V3", "V4", "higher")
 # fraction of each subject's voxels per named region, in REGION_NAMES order
 _REGION_FRACTIONS = (0.15, 0.15, 0.15, 0.15, 0.40)
-# draws from the "encoder" stream before a rank-deficient encoder is an error
-_ENCODER_DRAWS = 9
 # the most elements one numpy array can hold
 INDEX_MAX = int(np.iinfo(np.intp).max)
 
@@ -166,6 +164,9 @@ class SubjectDataset:
     def shared_voxels(self) -> np.ndarray:
         return self.voxels[self.is_shared]
 
+    def shared_images(self, world: WorldSpec) -> np.ndarray:
+        return world.images[self.image_ids[self.is_shared]]
+
     def check_sessions(self, k: int) -> None:
         """Raise `DataError` unless the training split has k sessions or more."""
         n_sessions = int(self.session_index.max()) + 1
@@ -279,18 +280,15 @@ def generate_world(config: WorldConfig, seed: int,
 
     The encoder and the VAE map are factorized once each: one QR gives both
     the full-rank check and the pseudo-inverse (``decoder``, ``vae_pinv``).
+    Either map drawn rank-deficient is a `ConfigError`; neither is redrawn.
     A stored dataset passes its own stimulus pool as ``images``."""
     config.validate()
     px = config.pixel_dim
 
-    enc_rng = seeds.rng(seed, "encoder")
-    for _ in range(_ENCODER_DRAWS):
-        encoder = enc_rng.normal(size=(config.token_dim, px)) / np.sqrt(px)
-        decoder = _full_rank_pinv(encoder)
-        if decoder is not None:
-            break
-    else:
-        raise ConfigError("impossible rank condition: encoder stays rank-deficient")
+    encoder = seeds.rng(seed, "encoder").normal(size=(config.token_dim, px)) / np.sqrt(px)
+    decoder = _full_rank_pinv(encoder)
+    if decoder is None:
+        raise ConfigError("impossible rank condition: the encoder is rank-deficient")
 
     teacher = seeds.rng(seed, "teacher").normal(size=(config.d_teacher, px)) / np.sqrt(px)
     vae_map = seeds.rng(seed, "vae").normal(size=(config.vae_dim, px)) / np.sqrt(px)

@@ -271,6 +271,46 @@ def train_loop_stepping_after_backward(world, datasets, mp, cfg, per_subject, ma
     return m, v
 
 
+def train_converter_stepping_after_backward(mp, world, encoder_b, images, epochs,
+                                            batch_size, lr, seed):
+    """`train_converter`'s optimization as a full backward followed by one
+    whole AdamW step per batch, updating ``mp`` in place; returns the moments
+    ``(m, v)`` by parameter name.
+
+    Like `train_loop_stepping_after_backward`, it builds the loss with the
+    package's own calls, in the converter's batch order, and steps with
+    `adamw_unblocked_step`, holding every gradient until the step.
+    """
+    from mindalign import seeds
+    from mindalign.model import converter_forward
+    from mindalign.tensor import Tensor, mse_loss
+    from mindalign.world import token_targets
+
+    tok_a = token_targets(world, images).reshape(
+        images.shape[0], world.config.n_tokens, world.config.d_token)
+    tok_b = encoder_b.encode_batch(world, images)
+    params = {k: p for k, p in mp.params.items() if k.startswith("converter.")}
+    for p in params.values():
+        p.requires_grad = True
+    m, v = {}, {}
+    rng = seeds.rng(seed, "converter")
+    n, t = images.shape[0], 0
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for lo in range(0, n - batch_size + 1, batch_size):
+            rows = order[lo:lo + batch_size]
+            for p in params.values():
+                p.grad = None
+            mse_loss(converter_forward(mp, tok_a[rows]), Tensor(tok_b[rows])).backward()
+            t += 1
+            adamw_unblocked_step({k: p.data for k, p in params.items()},
+                                 {k: p.grad for k, p in params.items()}, m, v, t, lr,
+                                 0.9, 0.999, 1e-8, 0.0)
+    for p in params.values():
+        p.grad = None
+    return m, v
+
+
 def smooth_images_out_of_place(n, image_hw, channels, smooth_sigma, rng) -> np.ndarray:
     """The world's stimulus pool written out of place, one temporary per term.
 

@@ -1,6 +1,7 @@
 """Config parsing/echo round trips and the command-line surface."""
 
 import argparse
+import csv
 import hashlib
 import shutil
 import subprocess
@@ -12,9 +13,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mindalign import cli as cli_mod
 from mindalign.cli import _build_parser, main
 from mindalign.config import WORK_CAP, echo_config, load_config, parse_config
 from mindalign.errors import ConfigError
+from mindalign.evaluate import EvalReport
 from mindalign.model import load_checkpoint, save_checkpoint
 from mindalign.store import read_arrays, write_arrays
 from mindalign.train import finetune
@@ -334,8 +337,11 @@ class TestCLI:
         for arm in ("pretrained", "scratch"):
             for k in (1, 3):
                 assert (workdir / "sc" / f"report_{arm}_k{k}.txt").exists()
-        header = (workdir / "sc" / "curve.csv").read_text().splitlines()[0]
-        assert header == "arm,k_sessions,metric_name,value,seed"
+        with open(workdir / "sc" / "curve.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["arm", "k_sessions", "metric_name", "value", "seed"]
+        # each value is written as the repr of the float it parses back to
+        assert all(repr(float(row[3])) == row[3] for row in rows[1:])
 
     def test_ablate_outputs(self, workdir):
         assert main(["ablate", "--config", str(workdir / "small.cfg"),
@@ -347,6 +353,23 @@ class TestCLI:
         assert {row.split(",")[0] for row in rows[1:]} == {"Ret", "All"}
         assert (workdir / "ab1" / "report_Ret.txt").exists()
         assert (workdir / "ab1" / "report_All.txt").exists()
+
+    def test_summary_csv_round_trips_every_value(self, workdir, tmp_path, monkeypatch):
+        # values whose repr needs 17 digits or an exponent, a numpy float among them
+        metrics = {"Ret": {"image_retrieval": 1 / 3,
+                           "brain_retrieval": np.float64(0.1) + 0.2},
+                   "All": {"ssim": -1e300, "pixcorr": 2.0 ** -40}}
+        monkeypatch.setattr(cli_mod, "ablation_run", lambda *args, **kwargs: {
+            variant: EvalReport(metrics=dict(m), protocol={})
+            for variant, m in metrics.items()})
+        assert main(["ablate", "--config", str(workdir / "small.cfg"),
+                     "--data", str(workdir / "data"), "--out", str(tmp_path / "ab")]) == 0
+        with open(tmp_path / "ab" / "summary.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["variant", "metric_name", "value"]
+        assert [(variant, name, float(value)) for variant, name, value in rows[1:]] == [
+            (variant, name, value) for variant, m in metrics.items()
+            for name, value in sorted(m.items())]
 
     @pytest.mark.parametrize("command", ["finetune", "scratch", "eval", "scaling",
                                          "ablate"])
@@ -704,6 +727,9 @@ def test_layernorm_variance_overflow_exits_4_in_one_line(tmp_path, capsys):
     ("scratch", f"model.h = {2 ** 70}"),
     ("scratch", f"model.t_steps = {2 ** 70}"),
     ("scratch", f"model.d_retr = {2 ** 70}"),
+    # the first step count whose cosine schedule reaches its floor twice
+    ("gen-data", "model.t_steps = 1558451"),
+    ("scratch", "model.t_steps = 1558451"),
     # work past the cap: a run that would never end, a list of 2**40 scores,
     # and the first epoch count past it (83334 x 12 iterations)
     ("scratch", f"train.epochs = {2 ** 70}"),

@@ -1,5 +1,7 @@
 """Evaluation protocols against oracles and closed-form expectations."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -509,6 +511,27 @@ class TestScalingNormalization:
         res.write_csv(tmp_path / "curve.csv")
         header = (tmp_path / "curve.csv").read_text().splitlines()[0]
         assert header == "arm,k_sessions,metric_name,value,seed"
+
+    def test_curve_csv_round_trips_every_value(self, tmp_path):
+        # values whose repr needs 17 digits, numpy floats among them
+        def rep(shift):
+            return EvalReport(metrics={m: (np.float64 if i % 2 else float)(i / 7 + shift)
+                                       for i, m in enumerate(CORE_METRICS)}, protocol={})
+
+        res = ScalingResult(arms={"pretrained": {1: rep(0.1), 3: rep(0.3)},
+                                  "scratch": {1: rep(0.2)}},
+                            baseline=rep(0.0), anchor=rep(1 / 3), seed=3)
+        rows = res.csv_rows()
+        res.write_csv(tmp_path / "curve.csv")
+        with open(tmp_path / "curve.csv", newline="") as fh:
+            parsed = list(csv.reader(fh))
+        assert parsed[0] == ["arm", "k_sessions", "metric_name", "value", "seed"]
+        assert [(arm, int(k), name, float(value), int(seed))
+                for arm, k, name, value, seed in parsed[1:]] == rows
+        # every core metric's span is valid, so norm_mean is normalized_mean's
+        assert {(arm, k): v for arm, k, name, v, _ in rows if name == "norm_mean"} == {
+            (arm, k): res.normalized_mean(arm, k)
+            for arm, curve in res.arms.items() for k in curve}
 
     def test_degenerate_span_rejected(self):
         res = self._stub_result()

@@ -14,6 +14,7 @@ from mindalign.errors import ConfigError, DataError, NonFiniteError
 from mindalign.flatkv import format_flat
 from mindalign.model import (
     ModelConfig,
+    _cosine_alpha_bar,
     add_subject,
     backbone_forward,
     converter_forward,
@@ -133,6 +134,27 @@ class TestSchedule:
 
     def test_single_step_allowed(self):
         assert make_schedule(1).shape == (1,)
+
+    @pytest.mark.parametrize("t_steps", [1, 2, 3, 64, 10 ** 5, 1558449, 1558450,
+                                         1558451, 1558452, 2 * 10 ** 6])
+    def test_parse_refuses_exactly_the_step_counts_the_schedule_refuses(self, t_steps):
+        # from 1,558,451 steps on, the last two steps both sit on the 1e-12
+        # floor; parse checks those two entries alone, with make_schedule's bits
+        try:
+            schedule = make_schedule(t_steps)
+            builds = True
+        except ConfigError:
+            builds = False
+        try:
+            parse_config(f"model.t_steps = {t_steps}\n")
+            parses = True
+        except ConfigError as exc:
+            assert str(exc).startswith(f"model.t_steps = {t_steps} ")
+            parses = False
+        assert parses == builds == (t_steps < 1558451)
+        if builds and t_steps > 1:
+            last = _cosine_alpha_bar(np.array([t_steps - 1, t_steps]), t_steps)
+            assert last.tobytes() == schedule[-2:].tobytes()
 
     def test_unknown_kind(self):
         # cosine is the one schedule

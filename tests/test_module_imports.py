@@ -3,7 +3,8 @@
 `import mindalign.cli` loads every package module (through `config`), so an
 import inside a function defers nothing. The one exception breaks a real
 cycle: `evaluate` imports `train` at module top, and `train.ablation_run`
-calls `evaluate.evaluate_model`.
+calls `evaluate.evaluate_model`. Every CSV record has one writer,
+`flatkv.write_csv`, so only `flatkv` imports `csv`.
 """
 
 import ast
@@ -36,3 +37,26 @@ def test_only_the_cycle_breaking_import_is_inside_a_function():
              for name in _function_level_imports(path.read_text(encoding="utf-8"),
                                                  path.stem)]
     assert found == _ALLOWED
+
+
+def _imported_modules(source: str) -> set[str]:
+    """The top-level name of every absolute import in ``source``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_the_guard_finds_absolute_imports_only():
+    source = ("import csv.x as c, os\nfrom json import dumps\nfrom . import csv\n"
+              "def f():\n    import re\n")
+    assert _imported_modules(source) == {"csv", "os", "json", "re"}
+
+
+def test_only_flatkv_imports_csv():
+    package = Path(mindalign.__file__).parent
+    assert [path.stem for path in sorted(package.rglob("*.py"))
+            if "csv" in _imported_modules(path.read_text(encoding="utf-8"))] == ["flatkv"]

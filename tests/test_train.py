@@ -1,5 +1,6 @@
 """Training protocols: batch composition, determinism, hygiene, ablations."""
 
+import csv
 import gc
 import tracemalloc
 from dataclasses import replace
@@ -40,7 +41,8 @@ from mindalign.world import (
     token_targets,
 )
 
-from oracles import train_loop_stepping_after_backward
+from oracles import (train_converter_stepping_after_backward,
+                     train_loop_stepping_after_backward)
 
 FAST = TrainConfig(epochs=2, batch_size=6, samples_per_subject_per_batch=3,
                    seed=3, held_out_subject="s3")
@@ -427,15 +429,14 @@ def test_trainlog_csv_roundtrip(tmp_path, tiny_world, tiny_datasets, tiny_mcfg):
     _, log = train_from_scratch(tiny_world, tiny_datasets["s0"], 1, FAST, tiny_mcfg)
     path = tmp_path / "log.csv"
     log.write_csv(path)
-    import csv
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["iteration", "phase", "prior_l", "contrastive_l",
                        "lowlevel_l", "total"]
     assert len(rows) - 1 == len(log.rows)
-    # repr round-trip keeps float values exact
+    # repr round-trip keeps every loss exact
     for logged, parsed in zip(log.rows, rows[1:]):
-        assert float(parsed[5]) == logged[5]
+        assert (int(parsed[0]), parsed[1], *map(float, parsed[2:])) == logged
 
 
 @pytest.mark.parametrize("ridge_only", [False, True], ids=["all", "ridge-only"])
@@ -484,6 +485,79 @@ def test_stepping_inside_backward_equals_stepping_after_it(tiny_world, tiny_data
     for name in m:
         assert opt.m[name].tobytes() == m[name].tobytes(), name
         assert opt.v[name].tobytes() == v[name].tobytes(), name
+
+
+def test_converter_stepping_inside_backward_equals_stepping_after_it(tiny_world,
+                                                                     tiny_mcfg,
+                                                                     monkeypatch):
+    # 2 epochs of 2 batches of 16: t runs 1..4
+    models = [init_model(tiny_world.config, tiny_mcfg, {"a": 10}, seed=1) for _ in "ab"]
+    enc_b = secondary_token_encoder(tiny_world, tiny_mcfg.m_tokens, tiny_mcfg.d_token_b,
+                                    seed=9)
+    images = tiny_world.images[:32]
+    made = []
+
+    class Recorded(AdamW):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(train_mod, "AdamW", Recorded)
+    train_converter(models[0], tiny_world, enc_b, images, epochs=2, lr=1e-2, seed=4)
+    m, v = train_converter_stepping_after_backward(models[1], tiny_world, enc_b, images,
+                                                   epochs=2, batch_size=16, lr=1e-2,
+                                                   seed=4)
+    (opt,) = made
+    assert opt.step_count == 4
+    assert sorted(opt.m) == sorted(m) == sorted(k for k in models[0].params
+                                                if k.startswith("converter."))
+    for name, p in models[0].params.items():
+        assert p.data.tobytes() == models[1].params[name].data.tobytes(), name
+    for name in m:
+        assert opt.m[name].tobytes() == m[name].tobytes(), name
+        assert opt.v[name].tobytes() == v[name].tobytes(), name
+
+
+def test_every_protocol_steps_its_gradients_inside_backward(tiny_world, tiny_datasets,
+                                                            tiny_mcfg, monkeypatch):
+    # `AdamW.step` only closes a step: it never finds a gradient left to
+    # update, so no training loop has a gradient to clear
+    from mindalign.evaluate import EvalConfig
+    real_step = AdamW.step
+    steps, held = [], []
+
+    def step(opt):
+        steps.append(opt)
+        held.extend(name for name, p in opt.params.items() if p.grad is not None)
+        real_step(opt)
+
+    monkeypatch.setattr(AdamW, "step", step)
+    seen = {}
+
+    def run(protocol, call):
+        steps.clear()
+        held.clear()
+        result = call()
+        seen[protocol] = (len(steps), list(held))
+        return result
+
+    pre = {sid: ds for sid, ds in tiny_datasets.items() if sid != "s3"}
+    ds = tiny_datasets["s3"]
+    ckpt, _ = run("pretrain", lambda: pretrain(tiny_world, pre, FAST, tiny_mcfg))
+    for ridge_only in (False, True):
+        cfg = replace(FAST, ridge_only_finetune=ridge_only)
+        run(f"finetune ridge_only={ridge_only}",
+            lambda: finetune(ckpt, tiny_world, ds, 1, cfg))
+    mp, _ = run("scratch", lambda: train_from_scratch(tiny_world, ds, 1, FAST, tiny_mcfg))
+    run("ablation", lambda: ablation_run(tiny_world, ds, 1, FAST, tiny_mcfg,
+                                         EvalConfig(pool_size=16, repetitions=3),
+                                         variants=("Ret", "ridge-vs-MLP")))
+    enc_b = secondary_token_encoder(tiny_world, tiny_mcfg.m_tokens, tiny_mcfg.d_token_b,
+                                    seed=9)
+    run("converter", lambda: train_converter(mp, tiny_world, enc_b,
+                                             tiny_world.images[:32], epochs=2, seed=4))
+    assert len(seen) == 6 and all(n > 0 for n, _ in seen.values()), seen
+    assert {protocol: names for protocol, (_, names) in seen.items() if names} == {}
 
 
 class TestMemory:
