@@ -18,7 +18,7 @@ from .evaluate import EvalConfig, check_scaling_sweep
 from .flatkv import format_flat, parse_flat, parse_value
 from .model import ModelConfig
 from .train import DEFAULT_ABLATION_VARIANTS, TrainConfig, variant_config
-from .world import WorldConfig
+from .world import WORK_CAP, WorldConfig
 
 COMMANDS = ("gen-world", "gen-data", "pretrain", "finetune", "scratch", "eval",
             "scaling", "ablate")
@@ -39,12 +39,6 @@ _SPECIAL_KEYS = {
 
 _BLOCKS = {"world": WorldConfig, "model": ModelConfig, "train": TrainConfig,
            "eval": EvalConfig}
-
-# the most training iterations of one training run, or evaluation
-# repetitions, that a config may ask for: 400 times what the defaults ask
-# (2400 iterations), and far short of a run that cannot end or a list of
-# scores that memory cannot hold
-WORK_CAP = 10 ** 6
 
 
 def _registry() -> dict[str, str]:

@@ -22,7 +22,8 @@ picks other kernels and the last bits change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,13 @@ from .tensor import (
     tensor_slice,
     transpose,
 )
-from .world import INDEX_MAX, WorldConfig, world_config_from_items, world_config_items
+from .world import (
+    BYTE_CAP,
+    INDEX_MAX,
+    WorldConfig,
+    world_config_from_items,
+    world_config_items,
+)
 
 
 @dataclass(frozen=True)
@@ -89,11 +96,23 @@ class ModelConfig:
         parts = _parameter_parts(world_cfg, self, world_cfg.n_subjects,
                                  world_cfg.n_subjects * world_cfg.voxels_max)
         total = sum(parts.values())
+        part = max(parts, key=parts.get)
         if total > INDEX_MAX:
-            part = max(parts, key=parts.get)
             raise ConfigError(f"the model would hold {total} parameters at world.voxels_max "
                               f"voxels per subject, past numpy's index range ({INDEX_MAX}); "
                               f"the largest part is the {part}")
+        # a training step holds the weights, AdamW's two moments and at most
+        # one parameter's gradient; the blocks repeat their shapes, so one
+        # block of each kind holds the largest parameter
+        largest = max(math.prod(shape) for shape in parameter_shapes(
+            world_cfg, replace(self, n_blocks=1, denoiser_blocks=1),
+            {"s": world_cfg.voxels_max}).values())
+        nbytes = 8 * (3 * total + largest)
+        if nbytes > BYTE_CAP:
+            raise ConfigError(f"training the model would hold {nbytes} bytes at "
+                              f"world.voxels_max voxels per subject (its weights, two "
+                              f"moments and its largest gradient), past the cap of "
+                              f"{BYTE_CAP}; the largest part is the {part}")
         # as t_steps grows, the schedule's last two steps are the first pair to
         # meet, on its 1e-12 floor (from 1,558,451 steps on)
         last = _cosine_alpha_bar(np.array([self.t_steps - 1, self.t_steps]), self.t_steps)

@@ -148,12 +148,14 @@ def _train_loop(world: WorldSpec, datasets: dict[str, SubjectDataset],
     is final, and the gradient goes with it; ``opt.step()`` then closes the
     iteration's step, decaying the masked parameters that got no gradient.
     So no gradient outlives its backward pass, and there is none to clear.
-    A step holds the weights, both moments, the gradients not yet consumed
-    and one iteration's graph, which is dropped before the next forward; a
-    trained model holds only its weights. The bits are those of a full
-    backward followed by one whole step. A numeric failure is re-raised with
-    its type and the iteration, phase and part (forward, backward or
-    optimizer step) appended.
+    Every parameter has one consuming node per step (see `_batch_losses`),
+    so a step holds the weights, both moments, at most one parameter's
+    gradient and one batch: its token targets and its graph, which is
+    dropped before the next forward. Nothing it holds grows with the
+    dataset, and a trained model holds only its weights. The bits are those
+    of a full backward followed by one whole step. A numeric failure is
+    re-raised with its type and the iteration, phase and part (forward,
+    backward or optimizer step) appended.
     """
     subject_ids = sorted(datasets)
     train_idx = {sid: np.flatnonzero(datasets[sid].train_mask) for sid in subject_ids}
@@ -163,11 +165,6 @@ def _train_loop(world: WorldSpec, datasets: dict[str, SubjectDataset],
         raise DataError(f"not enough training trials ({n_min}) for a batch of "
                         f"{per_subject} per subject")
     total_iters = cfg.epochs * iters_per_epoch
-    # the encoder is fixed and the training images repeat every epoch, so
-    # each subject's token targets are one product whose rows the batches take
-    tok_train = {sid: token_targets(
-                     world, world.images[datasets[sid].image_ids[train_idx[sid]]])
-                 for sid in subject_ids}
 
     params = {k: p for k, p in mp.params.items() if p.requires_grad}
     opt = AdamW(params, lr=cfg.lr, weight_decay=cfg.ridge_weight_decay,
@@ -187,14 +184,13 @@ def _train_loop(world: WorldSpec, datasets: dict[str, SubjectDataset],
                   for sid, idx in train_idx.items()}
         for step in range(iters_per_epoch):
             phase = loss_phase(it, total_iters)
-            batch_pos = {sid: orders[sid][step * per_subject:(step + 1) * per_subject]
-                         for sid in subject_ids}
-            batch_rows = {sid: train_idx[sid][batch_pos[sid]] for sid in subject_ids}
-            tok_true = np.concatenate([tok_train[sid][batch_pos[sid]] for sid in subject_ids])
+            batch_rows = {sid: train_idx[sid][
+                              orders[sid][step * per_subject:(step + 1) * per_subject]]
+                          for sid in subject_ids}
             part = "forward"
             try:
                 loss_parts = _batch_losses(world, datasets, mp, cfg, phase, batch_rows,
-                                           tok_true, master, it)
+                                           master, it)
                 total = total_loss(*loss_parts, cfg.weights)
                 opt.lr = warmup_cosine_lr(it, total_iters, cfg.lr, cfg.warmup_frac)
                 part = "backward"
@@ -212,23 +208,44 @@ def _train_loop(world: WorldSpec, datasets: dict[str, SubjectDataset],
     return log
 
 
-def _batch_losses(world, datasets, mp, cfg, phase, batch_rows, tok_true, master, it):
+def _batch_losses(world, datasets, mp, cfg, phase, batch_rows, master, it):
+    """The prior, contrastive and low-level losses of one batch.
+
+    The token targets are the batch's own: one product over its images. In
+    the BiMixCo phase, each subject's ridge layer runs once over its clean
+    rows stacked on its MixCo-mixed rows (one dropout mask serves both
+    halves), the backbone runs once over every subject's stack, and the
+    clean and mixed tokens are taken out of it by row. So each ridge and
+    trunk parameter has one consuming node, and its gradient is final as
+    soon as that node's closure has run.
+    """
     subject_ids = sorted(batch_rows)
     vox = {sid: datasets[sid].voxels[batch_rows[sid]] for sid in subject_ids}
     ids = np.concatenate([datasets[sid].image_ids[batch_rows[sid]]
                           for sid in subject_ids])
     imgs = world.images[ids]
+    tok_true = token_targets(world, imgs)
 
-    def to_tokens(voxels_by_subject):
-        lats = []
-        for sid in subject_ids:
-            mask = _dropout_mask(mp, cfg, master, it, sid,
-                                 voxels_by_subject[sid].shape[0])
-            lats.append(ridge_forward(mp, sid, voxels_by_subject[sid], mask))
-        lat = lats[0] if len(lats) == 1 else concat(lats, axis=0)
-        return backbone_forward(mp, lat)
-
-    tokens = to_tokens(vox)
+    mixed = None
+    if cfg.use_retrieval and phase == PHASE_BIMIXCO:
+        mixed, mix = _mixco_per_subject(vox, subject_ids, cfg, master, it)
+    lats, clean_rows, mixed_rows = [], [], []
+    start = 0
+    for sid in subject_ids:
+        x = vox[sid]
+        n = x.shape[0]
+        mask = _dropout_mask(mp, cfg, master, it, sid, n)
+        if mixed is not None:
+            clean_rows.append(np.arange(start, start + n))
+            mixed_rows.append(np.arange(start + n, start + 2 * n))
+            x = np.concatenate([x, mixed[sid]])
+            mask = None if mask is None else np.concatenate([mask, mask])
+        lats.append(ridge_forward(mp, sid, x, mask))
+        start += x.shape[0]
+    tokens = backbone_forward(mp, lats[0] if len(lats) == 1 else concat(lats, axis=0))
+    if mixed is not None:
+        mixed_tokens = tokens[np.concatenate(mixed_rows)]
+        tokens = tokens[np.concatenate(clean_rows)]
 
     zero = Tensor(0.0)
     prior_l = zero
@@ -241,9 +258,8 @@ def _batch_losses(world, datasets, mp, cfg, phase, batch_rows, tok_true, master,
     contrastive_l = zero
     if cfg.use_retrieval:
         target_emb = Tensor(target_embed(mp, tok_true))  # frozen image side
-        if phase == PHASE_BIMIXCO:
-            mixed, mix = _mixco_per_subject(vox, subject_ids, cfg, master, it)
-            pred_emb = retrieval_project(mp, to_tokens(mixed))
+        if mixed is not None:
+            pred_emb = retrieval_project(mp, mixed_tokens)
             contrastive_l = bimixco_loss(pred_emb, target_emb, mix, cfg.tau_bimixco)
         else:
             pred_emb = retrieval_project(mp, tokens)

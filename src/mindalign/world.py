@@ -31,6 +31,18 @@ REGION_NAMES = ("V1", "V2", "V3", "V4", "higher")
 _REGION_FRACTIONS = (0.15, 0.15, 0.15, 0.15, 0.40)
 # the most elements one numpy array can hold
 INDEX_MAX = int(np.iinfo(np.intp).max)
+# the most training iterations of one training run, or evaluation
+# repetitions, that a config may ask for: 400 times what the defaults ask
+# (2400 iterations), and far short of a run that cannot end or a list of
+# scores that memory cannot hold
+WORK_CAP = 10 ** 6
+# the most bytes a config may ask the world's arrays, or a model's training
+# state, to hold: 16 GiB. That is over 100 times the defaults' (47 MB of
+# world and datasets, 101 MB of training state), room for the paper's
+# 4096-wide latent (3.7 GB of training state), and far short of the TiB a
+# mistyped size asks for. It is a fixed number, so a config parses the same
+# on every machine.
+BYTE_CAP = 2 ** 34
 
 
 @dataclass(frozen=True)
@@ -88,21 +100,37 @@ class WorldConfig:
         if self.smooth_sigma > self.image_hw:
             raise ConfigError(f"world.smooth_sigma = {self.smooth_sigma} exceeds "
                               f"world.image_hw = {self.image_hw}")
-        # each array the world draws must fit numpy's index range; counted
-        # with Python ints, before anything is allocated
+        # each array the world and its datasets hold must fit numpy's index
+        # range, and all of them `BYTE_CAP`; counted with Python ints, before
+        # anything is allocated. Each entry: an array, its elements and how
+        # many arrays of that size there are.
         px = self.pixel_dim
-        for what, count in (
-                ("the encoder [world.n_tokens * world.d_token, pixels]", self.token_dim * px),
-                ("the teacher map [world.d_teacher, pixels]", self.d_teacher * px),
-                ("the VAE map [world.vae_hw^2 * world.vae_channels, pixels]",
-                 self.vae_dim * px),
-                ("the image pool [world.n_shared + world.n_subjects * world.n_sessions * "
-                 "world.trials_per_session, pixels]", self.n_images * px),
-                ("a forward map [world.voxels_max, pixels]", self.voxels_max * px)):
+        arrays = (
+            ("the encoder [world.n_tokens * world.d_token, pixels]", self.token_dim * px,
+             2),  # and its pseudo-inverse
+            ("the teacher map [world.d_teacher, pixels]", self.d_teacher * px, 1),
+            ("the VAE map [world.vae_hw^2 * world.vae_channels, pixels]",
+             self.vae_dim * px, 2),  # and its pseudo-inverse
+            ("the image pool [world.n_shared + world.n_subjects * world.n_sessions * "
+             "world.trials_per_session, pixels]", self.n_images * px, 1),
+            ("a forward map [world.voxels_max, pixels]", self.voxels_max * px,
+             self.n_subjects),
+            ("a dataset [world.n_sessions * world.trials_per_session + world.n_shared, "
+             "world.voxels_max]",
+             (self.n_sessions * self.trials_per_session + self.n_shared) * self.voxels_max,
+             self.n_subjects))
+        for what, count, _ in arrays:
             if count > INDEX_MAX:
                 raise ConfigError(f"{what} would hold {count} elements, past numpy's index "
                                   f"range ({INDEX_MAX}); pixels = world.image_hw^2 * "
                                   f"world.channels")
+        terms = [(8 * count * copies, what, copies) for what, count, copies in arrays]
+        total = sum(term[0] for term in terms)
+        if total > BYTE_CAP:
+            nbytes, what, copies = max(terms)
+            raise ConfigError(f"the world would hold {total} bytes, past the cap of "
+                              f"{BYTE_CAP}; the largest term is {what} x {copies}, "
+                              f"{nbytes} bytes; pixels = world.image_hw^2 * world.channels")
 
 
 @dataclass

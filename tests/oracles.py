@@ -234,14 +234,11 @@ def train_loop_stepping_after_backward(world, datasets, mp, cfg, per_subject, ma
     from mindalign.losses import loss_phase, total_loss
     from mindalign.optim import warmup_cosine_lr
     from mindalign.train import _batch_losses
-    from mindalign.world import token_targets
 
     subject_ids = sorted(datasets)
     train_idx = {sid: np.flatnonzero(datasets[sid].train_mask) for sid in subject_ids}
     iters_per_epoch = min(len(v) for v in train_idx.values()) // per_subject
     total_iters = cfg.epochs * iters_per_epoch
-    tok_train = {sid: token_targets(world, world.images[datasets[sid].image_ids[idx]])
-                 for sid, idx in train_idx.items()}
     params = {k: p for k, p in mp.params.items() if p.requires_grad}
     # weight decay on the ridge weights alone
     mask = {k: k.startswith("ridge.") and k.endswith(".W") for k in params}
@@ -251,14 +248,12 @@ def train_loop_stepping_after_backward(world, datasets, mp, cfg, per_subject, ma
         orders = {sid: seeds.rng(master, "shuffle", epoch, sid).permutation(len(idx))
                   for sid, idx in train_idx.items()}
         for step in range(iters_per_epoch):
-            pos = {sid: orders[sid][step * per_subject:(step + 1) * per_subject]
-                   for sid in subject_ids}
-            rows = {sid: train_idx[sid][pos[sid]] for sid in subject_ids}
-            tok_true = np.concatenate([tok_train[sid][pos[sid]] for sid in subject_ids])
+            rows = {sid: train_idx[sid][orders[sid][step * per_subject:(step + 1) * per_subject]]
+                    for sid in subject_ids}
             for p in params.values():
                 p.grad = None
             losses = _batch_losses(world, datasets, mp, cfg, loss_phase(it, total_iters),
-                                   rows, tok_true, master, it)
+                                   rows, master, it)
             total_loss(*losses, cfg.weights).backward()
             adamw_unblocked_step(
                 {k: p.data for k, p in params.items()},
@@ -269,6 +264,64 @@ def train_loop_stepping_after_backward(world, datasets, mp, cfg, per_subject, ma
     for p in params.values():
         p.grad = None
     return m, v
+
+
+def batch_losses_two_pass(world, datasets, mp, cfg, phase, batch_rows, master, it):
+    """`_batch_losses` with the BiMixCo phase's two trunk passes: ridge and
+    backbone run once over the clean voxels and once more over the mixed
+    ones, each subject under the same dropout mask both times.
+
+    Not a scalar loop: the form `train._batch_losses` had before it stacked
+    the clean rows on the mixed rows, built with the package's own calls. The
+    stacked pass must match it to rounding, in every loss part and gradient.
+    """
+    from mindalign import seeds
+    from mindalign.losses import (PHASE_BIMIXCO, LowLevelTargets, bimixco_loss,
+                                  lowlevel_loss, soft_clip_loss)
+    from mindalign.model import (backbone_forward, lowlevel_forward, prior_train_step,
+                                 retrieval_project, ridge_forward, target_embed)
+    from mindalign.tensor import Tensor, concat
+    from mindalign.train import _dropout_mask, _mixco_per_subject
+    from mindalign.world import teacher_targets, token_targets, vae_targets
+
+    subject_ids = sorted(batch_rows)
+    vox = {sid: datasets[sid].voxels[batch_rows[sid]] for sid in subject_ids}
+    ids = np.concatenate([datasets[sid].image_ids[batch_rows[sid]] for sid in subject_ids])
+    imgs = world.images[ids]
+    tok_true = token_targets(world, imgs)
+
+    def to_tokens(voxels_by_subject):
+        lats = [ridge_forward(mp, sid, voxels_by_subject[sid],
+                              _dropout_mask(mp, cfg, master, it, sid,
+                                            voxels_by_subject[sid].shape[0]))
+                for sid in subject_ids]
+        return backbone_forward(mp, lats[0] if len(lats) == 1 else concat(lats, axis=0))
+
+    tokens = to_tokens(vox)
+    prior_l = contrastive_l = lowlevel_l = Tensor(0.0)
+    if cfg.use_prior:
+        t_draw = seeds.rng(master, "prior-t", it).integers(0, mp.mcfg.t_steps,
+                                                           size=imgs.shape[0])
+        prior_l = prior_train_step(mp, tokens, tok_true, t_draw,
+                                   noise_seed=seeds.derive(master, "prior-noise", it))
+    if cfg.use_retrieval:
+        target_emb = Tensor(target_embed(mp, tok_true))
+        if phase == PHASE_BIMIXCO:
+            mixed, mix = _mixco_per_subject(vox, subject_ids, cfg, master, it)
+            contrastive_l = bimixco_loss(retrieval_project(mp, to_tokens(mixed)),
+                                         target_emb, mix, cfg.tau_bimixco)
+        else:
+            contrastive_l = soft_clip_loss(retrieval_project(mp, tokens), target_emb,
+                                           cfg.tau_softclip)
+    if cfg.use_lowlevel:
+        vae_pred, teacher_pred = lowlevel_forward(mp, tokens)
+        wc = world.config
+        lowlevel_l = lowlevel_loss(LowLevelTargets(
+            vae_true=vae_targets(world, imgs).reshape(imgs.shape[0], wc.vae_hw, wc.vae_hw,
+                                                      wc.vae_channels),
+            vae_pred=vae_pred, teacher_true=teacher_targets(world, imgs),
+            teacher_pred=teacher_pred), cfg.tau_softclip)
+    return prior_l, contrastive_l, lowlevel_l
 
 
 def train_converter_stepping_after_backward(mp, world, encoder_b, images, epochs,

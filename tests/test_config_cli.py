@@ -727,6 +727,12 @@ def test_layernorm_variance_overflow_exits_4_in_one_line(tmp_path, capsys):
     ("scratch", f"model.h = {2 ** 70}"),
     ("scratch", f"model.t_steps = {2 ** 70}"),
     ("scratch", f"model.d_retr = {2 ** 70}"),
+    # sizes numpy can index but memory cannot hold: 65.5 TiB of backbone
+    # weights, and a 543 GiB encoder
+    ("gen-world", "model.h = 3000000"),
+    ("scratch", "model.h = 3000000"),
+    ("gen-world", "world.image_hw = 300; world.n_tokens = 300; world.d_token = 900"),
+    ("gen-data", "world.image_hw = 300; world.n_tokens = 300; world.d_token = 900"),
     # the first step count whose cosine schedule reaches its floor twice
     ("gen-data", "model.t_steps = 1558451"),
     ("scratch", "model.t_steps = 1558451"),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mindalign import model as model_mod
 from mindalign import seeds
 from mindalign.config import parse_config
 from mindalign.errors import ConfigError, DataError, NonFiniteError
@@ -218,6 +219,25 @@ def test_parse_accepts_exactly_the_configs_a_model_builds_from(
     except ConfigError:
         built = False
     assert accepted == built
+
+
+@pytest.mark.parametrize("mcfg", [TINY_MODEL, ModelConfig(
+    **{**TINY_MODEL.__dict__, "mlp_ridge": True, "h": 300, "n_blocks": 3,
+       "denoiser_blocks": 3})], ids=["tiny", "mlp-ridge"])
+def test_byte_cap_counts_a_training_step(monkeypatch, mcfg):
+    # the weights, AdamW's two moments and the largest gradient, with
+    # world.voxels_max voxels for every subject
+    wcfg = TINY_WORLD
+    mp = init_model(wcfg, mcfg, {f"s{i}": wcfg.voxels_max for i in range(wcfg.n_subjects)},
+                    seed=1)
+    sizes = [p.data.nbytes for p in mp.params.values()]
+    need = 3 * sum(sizes) + max(sizes)
+    monkeypatch.setattr(model_mod, "BYTE_CAP", need)
+    mcfg.validate(wcfg)
+    monkeypatch.setattr(model_mod, "BYTE_CAP", need - 1)
+    with pytest.raises(ConfigError, match=rf"^training the model would hold {need} bytes "
+                                          r".* the largest part is the "):
+        init_model(wcfg, mcfg, {"s0": 40}, seed=1)
 
 
 class TestPrior:

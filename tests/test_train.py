@@ -8,10 +8,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mindalign import optim as optim_mod
 from mindalign import seeds
 from mindalign import train as train_mod
 from mindalign.errors import ConfigError, DataError, SubjectLeakError
-from mindalign.losses import recompose_total
+from mindalign.losses import PHASE_BIMIXCO, recompose_total, total_loss
 from mindalign.model import (
     ModelConfig,
     backbone_forward,
@@ -41,7 +42,7 @@ from mindalign.world import (
     token_targets,
 )
 
-from oracles import (train_converter_stepping_after_backward,
+from oracles import (batch_losses_two_pass, train_converter_stepping_after_backward,
                      train_loop_stepping_after_backward)
 
 FAST = TrainConfig(epochs=2, batch_size=6, samples_per_subject_per_batch=3,
@@ -91,9 +92,10 @@ class TestPretrain:
         pretrain(world, datasets, cfg, mcfg)
         assert totals == [63]
 
-    def test_token_targets_once_per_subject(self, tiny_world, tiny_datasets, tiny_mcfg,
-                                            monkeypatch):
-        # the batches take their token targets from one product per subject
+    def test_token_targets_per_batch(self, tiny_world, tiny_datasets, tiny_mcfg,
+                                     monkeypatch):
+        # each batch computes its own token targets, one product over its
+        # images: no array of targets grows with the dataset
         rows = []
         real = train_mod.token_targets
 
@@ -104,8 +106,8 @@ class TestPretrain:
         monkeypatch.setattr(train_mod, "token_targets", counting)
         pre = {sid: ds for sid, ds in tiny_datasets.items() if sid != "s3"}
         _, log = pretrain(tiny_world, pre, FAST, tiny_mcfg)
-        assert rows == [int(pre[sid].train_mask.sum()) for sid in sorted(pre)]
         assert len(log.rows) > 1
+        assert rows == [len(pre) * FAST.samples_per_subject_per_batch] * len(log.rows)
 
     def test_mixco_draws_per_subject_stream_one_row_each(self, tiny_world, tiny_datasets,
                                                           tiny_mcfg):
@@ -444,7 +446,7 @@ def test_stepping_inside_backward_equals_stepping_after_it(tiny_world, tiny_data
                                                            tiny_mcfg, monkeypatch,
                                                            ridge_only):
     # 2 epochs of 3 batches of 6 from one session: iterations 0-1 are
-    # BiMixCo, which consumes the ridge and backbone weights twice, and 2-5
+    # BiMixCo, one stacked pass over clean and mixed rows, and 2-5
     # SoftCLIP, so t runs 1..6 over both phases. Subject s2 has a ridge layer
     # but no data: its weight decays every step without a gradient.
     datasets = {"s3": tiny_datasets["s3"].restrict_sessions(1)}
@@ -485,6 +487,62 @@ def test_stepping_inside_backward_equals_stepping_after_it(tiny_world, tiny_data
     for name in m:
         assert opt.m[name].tobytes() == m[name].tobytes(), name
         assert opt.v[name].tobytes() == v[name].tobytes(), name
+
+
+def _consuming_slots(out):
+    """Id of each tensor in ``out``'s graph -> the parent slots it fills."""
+    slots, seen, stack = {}, set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            for p in node._parents:
+                slots[id(p)] = slots.get(id(p), 0) + 1
+                stack.append(p)
+    return slots
+
+
+@pytest.mark.parametrize("subjects", [("s0", "s1", "s2"), ("s3",)],
+                         ids=["three-subjects", "one-subject"])
+@pytest.mark.parametrize("variant", ["All", "Ret", "ridge-vs-MLP"])
+def test_stacked_bimixco_pass_equals_two_passes(tiny_world, tiny_datasets, tiny_mcfg,
+                                                variant, subjects):
+    # one ridge+backbone pass over the clean rows stacked on the mixed rows
+    # gives the two-pass losses and gradients to rounding: each trunk weight
+    # gradient is one product over 2B rows instead of two summed
+    cfg = variant_config(FAST, variant)
+    mcfg = replace(tiny_mcfg, mlp_ridge=cfg.mlp_dropout_ridge)
+    datasets = {sid: tiny_datasets[sid] for sid in subjects}
+    rng = np.random.default_rng(4)
+    rows = {sid: rng.choice(np.flatnonzero(ds.train_mask), 4, replace=False)
+            for sid, ds in datasets.items()}
+    mp = init_model(tiny_world.config, mcfg,
+                    {sid: ds.n_voxels for sid, ds in datasets.items()}, seed=6)
+    trunk = {k: p for k, p in mp.params.items() if k.startswith(("ridge.", "backbone."))}
+    results, uses = [], []
+    for batch_losses in (train_mod._batch_losses, batch_losses_two_pass):
+        parts = batch_losses(tiny_world, datasets, mp, cfg, PHASE_BIMIXCO, rows, 9, 2)
+        total = total_loss(*parts, cfg.weights)
+        uses.append({_consuming_slots(total).get(id(p), 0) for p in trunk.values()})
+        total.backward()
+        results.append(([p.item() for p in parts],
+                        {k: p.grad for k, p in mp.params.items() if p.grad is not None}))
+        for p in mp.params.values():
+            p.grad = None
+    # one consuming node per trunk parameter, so its gradient is final at
+    # once; two passes use it twice unless no loss reads the clean tokens
+    assert uses == [{1}, {2 if cfg.use_prior or cfg.use_lowlevel else 1}]
+    (parts, grads), (want_parts, want_grads) = results
+    assert parts[1] != 0.0 and (parts[0] != 0.0) == cfg.use_prior
+    np.testing.assert_allclose(parts, want_parts, rtol=1e-12, atol=0)
+    assert sorted(grads) == sorted(want_grads)
+    assert {f"ridge.{sid}.W" for sid in subjects} | {"backbone.to_tokens"} <= set(grads)
+    assert ("ridge.s0.W2" in grads or "ridge.s3.W2" in grads) == cfg.mlp_dropout_ridge
+    # relative to each entry, or to the gradient's largest entry where a sum
+    # of opposite terms leaves an entry far smaller
+    for name, want in want_grads.items():
+        np.testing.assert_allclose(grads[name], want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max(), err_msg=name)
 
 
 def test_converter_stepping_inside_backward_equals_stepping_after_it(tiny_world,
@@ -602,6 +660,42 @@ class TestMemory:
             tracemalloc.stop()
         weights = sum(p.data.nbytes for p in mp.params.values())
         assert held < 1.5 * weights
+
+    def test_pretrain_step_holds_weights_moments_one_gradient_and_one_batch(
+            self, tiny_world, tiny_mcfg):
+        # A pretraining step holds the weights, AdamW's two moments and two
+        # scratch blocks, at most one parameter gradient, and one batch: its
+        # token targets and its graph, about 24 float64 values per row per
+        # token dimension on this narrow model. The slack allows 40. At 80
+        # trials a session, token targets for the whole dataset, or only for
+        # its 2 further sessions, would be larger than the slack.
+        world = generate_world(replace(tiny_world.config, trials_per_session=80), seed=7)
+        datasets = {sid: normalize(generate_dataset(world, sid, seed=i))
+                    for i, sid in enumerate(world.subject_ids[:3])}
+        mcfg = replace(tiny_mcfg, h=16, n_blocks=1, d_temb=8, d_cond=16, denoiser_hidden=32,
+                       denoiser_blocks=1, retr_hidden=16, d_retr=8, ll_hidden=16,
+                       ll_trunk=16, ll_seed_channels=8, teacher_hidden=8)
+        cfg = TrainConfig(epochs=1, samples_per_subject_per_batch=3, seed=3,
+                          held_out_subject="s3")
+        token_bytes = world.config.token_dim * 8
+        slack = len(datasets) * cfg.samples_per_subject_per_batch * 40 * token_bytes
+        assert 2 * 80 * len(datasets) * token_bytes > slack
+        scratch = 2 * optim_mod._BLOCK * 8
+        held = {}
+        for k in (2, 4):
+            restricted = {sid: ds.restrict_sessions(k) for sid, ds in datasets.items()}
+            tracemalloc.start()
+            try:
+                mp, _ = pretrain(world, restricted, cfg, mcfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            weights = sum(p.data.nbytes for p in mp.params.values())
+            largest = max(p.data.nbytes for p in mp.params.values())
+            held[k] = peak - weights
+            assert held[k] <= 2 * weights + largest + scratch + slack, k
+        # the training log's audit trail grows by about 100 B a trial
+        assert abs(held[4] - held[2]) <= slack
 
     def test_prior_sample_peak_below_prior_weights(self, tiny_world, tiny_mcfg):
         mp = init_model(tiny_world.config, tiny_mcfg, {"a": 10}, seed=1)

@@ -139,6 +139,30 @@ class TestGenerateWorld:
         with pytest.raises(ConfigError, match="VAE map is rank-deficient"):
             generate_world(SMALL, seed=7)
 
+    def test_byte_cap_counts_every_array_of_the_world_and_its_datasets(self, monkeypatch):
+        # the count takes world.voxels_max voxels for every subject; it is
+        # what generate_world and generate_dataset allocate, plus the voxels
+        # each subject has fewer than that, for its map and its trials
+        px = SMALL.pixel_dim
+        trials = SMALL.n_sessions * SMALL.trials_per_session + SMALL.n_shared
+        need = 8 * (2 * SMALL.token_dim * px + SMALL.d_teacher * px + 2 * SMALL.vae_dim * px
+                    + SMALL.n_images * px
+                    + SMALL.n_subjects * SMALL.voxels_max * (px + trials))
+        w = generate_world(SMALL, seed=7)
+        held = sum(a.nbytes for a in (w.encoder, w.decoder, w.teacher, w.vae_map,
+                                      w.vae_pinv, w.images, *w.subjects.values()))
+        held += sum(generate_dataset(w, sid).voxels.nbytes for sid in w.subject_ids)
+        assert need - held == 8 * sum((SMALL.voxels_max - a.shape[0]) * (px + trials)
+                                      for a in w.subjects.values())
+        monkeypatch.setattr(world_mod, "BYTE_CAP", need)
+        SMALL.validate()
+        monkeypatch.setattr(world_mod, "BYTE_CAP", need - 1)
+        with pytest.raises(ConfigError, match=rf"^the world would hold {need} bytes, past "
+                                              rf"the cap of {need - 1}; the largest term "
+                                              r"is the encoder \[.* x 2, "
+                                              rf"{8 * 2 * SMALL.token_dim * px} bytes;"):
+            generate_world(SMALL, seed=7)
+
     def test_rank_condition_rejected(self):
         with pytest.raises(ConfigError):
             generate_world(WorldConfig(n_tokens=2, d_token=8), seed=0)
