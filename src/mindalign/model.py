@@ -625,7 +625,8 @@ def save_checkpoint(mp: ModelParams, path: Path) -> None:
     # world_seed is already carried as world.seed
     items.update({f"meta.{k}": v for k, v in mp.meta.items() if k != "world_seed"})
     with np.errstate(over="ignore"):  # an overflow becomes inf, which write_arrays refuses
-        arrays = {name: _file_layout(name, mp.params[name].data).astype("<f4")
+        arrays = {name: np.ascontiguousarray(_file_layout(name, mp.params[name].data),
+                                             dtype="<f4")
                   for name in sorted(mp.params)}
     write_arrays(path, items, arrays)
 
@@ -652,9 +653,9 @@ def load_checkpoint(path: Path) -> ModelParams:
         raise DataError(f"{path}: {exc}") from None
     meta = {k[len("meta."):]: v for k, v in items.items() if k.startswith("meta.")}
     meta["world_seed"] = str(world_seed)
-    return ModelParams(world_cfg=world_cfg, mcfg=mcfg,
-                       params={name: Tensor(np.ascontiguousarray(_file_layout(name, arr),
-                                                                 dtype=np.float64),
-                                            requires_grad=not is_frozen_parameter(name))
-                               for name, arr in arrays.items()},
-                       meta=meta)
+    # each float32 record is dropped as soon as its float64 copy is made
+    params = {name: Tensor(np.ascontiguousarray(_file_layout(name, arrays.pop(name)),
+                                                dtype=np.float64),
+                           requires_grad=not is_frozen_parameter(name))
+              for name in list(arrays)}
+    return ModelParams(world_cfg=world_cfg, mcfg=mcfg, params=params, meta=meta)

@@ -6,12 +6,18 @@ follow, then one record per array. `read_arrays` accepts exactly what
 `write_arrays` writes, and raises one `DataError` naming the path otherwise;
 `write_arrays` refuses, before it writes anything, an array that
 `read_arrays` would reject.
+
+Records move one at a time between the file and their arrays; neither side
+holds the whole file. The reader takes the file's size first and checks each
+record's length against it before reading the record, so a cut file is
+refused before its data is read, and an endless one is never read whole.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import os
 import tokenize
 import warnings
 from pathlib import Path
@@ -42,20 +48,18 @@ def write_arrays(path: Path, items: dict[str, object],
         if arr.dtype.kind == "f" and not np.isfinite(arr).all():
             raise NonFiniteError(f"{path}: array {name!r} holds a non-finite value")
     text = format_flat({**items, "arrays": ",".join(arrays)}).encode("utf-8")
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    for arr in (np.frombuffer(text, dtype=np.uint8), *arrays.values()):
-        npy.write_array(buf, np.ascontiguousarray(arr), version=(1, 0), allow_pickle=False)
-    Path(path).write_bytes(buf.getvalue())
+    with open(path, "wb") as fp:
+        fp.write(MAGIC)
+        for arr in (np.frombuffer(text, dtype=np.uint8), *arrays.values()):
+            npy.write_array(fp, np.ascontiguousarray(arr), version=(1, 0), allow_pickle=False)
 
 
 def read_arrays(path: Path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     """The metadata items and the arrays, in written order, of one array file."""
-    raw = Path(path).read_bytes()
     try:
-        with warnings.catch_warnings():
+        with open(path, "rb") as fp, warnings.catch_warnings():
             warnings.simplefilter("error")
-            return _parse(raw)
+            return _parse(fp, os.fstat(fp.fileno()).st_size)
     except _MALFORMED as exc:
         raise DataError(f"{path}: {' '.join(str(exc).split())}") from None
 
@@ -71,22 +75,20 @@ def check_layout(path: Path, arrays: dict[str, np.ndarray],
                         f"expected {layout.get(bad[0], 'none')}")
 
 
-def _parse(raw: bytes) -> tuple[dict[str, str], dict[str, np.ndarray]]:
-    if not raw.startswith(MAGIC):
+def _parse(fp: io.BufferedReader, size: int) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+    if fp.read(len(MAGIC)) != MAGIC:
         raise ValueError("not an array file (bad magic)")
-    fp = io.BytesIO(raw)
-    fp.seek(len(MAGIC))
-    items = parse_flat(_record(fp, raw).tobytes().decode("utf-8"))
+    items = parse_flat(_record(fp, size).tobytes().decode("utf-8"))
     names = [name for name in items.pop("arrays", "").split(",") if name]
     if len(set(names)) != len(names):
         raise ValueError("an array name repeats")
-    arrays = {name: _record(fp, raw) for name in names}
-    if fp.tell() != len(raw):
-        raise ValueError(f"{len(raw) - fp.tell()} bytes after the last record")
+    arrays = {name: _record(fp, size) for name in names}
+    if fp.tell() != size:
+        raise ValueError(f"{size - fp.tell()} bytes after the last record")
     return items, arrays
 
 
-def _record(fp: io.BytesIO, raw: bytes) -> np.ndarray:
+def _record(fp: io.BufferedReader, size: int) -> np.ndarray:
     """The next .npy v1.0 record, its length checked before anything is read."""
     if npy.read_magic(fp) != (1, 0):
         raise ValueError("record is not .npy version 1.0")
@@ -94,13 +96,14 @@ def _record(fp: io.BytesIO, raw: bytes) -> np.ndarray:
     if fortran_order or dtype.str not in _DTYPES or min(shape, default=0) < 0:
         raise ValueError(f"unsupported record: dtype {dtype.str}, shape {shape}, "
                          f"fortran_order {fortran_order}")
-    start, size = fp.tell(), math.prod(shape) * dtype.itemsize
-    if start + size > len(raw):
+    count = math.prod(shape)
+    if fp.tell() + count * dtype.itemsize > size:
         raise ValueError(f"record of shape {shape} is cut short")
-    fp.seek(size, io.SEEK_CUR)
-    arr = np.frombuffer(raw, dtype, math.prod(shape), start).reshape(shape).copy()
+    arr = np.fromfile(fp, dtype, count)
+    if arr.size != count:  # the file shrank since its size was taken
+        raise ValueError(f"record of shape {shape} is cut short")
     if dtype.kind == "f" and not np.isfinite(arr).all():
         raise ValueError("non-finite float")
     if dtype.kind == "b" and arr.view(np.uint8).max(initial=0) > 1:
         raise ValueError("bool byte other than 0 or 1")
-    return arr
+    return arr.reshape(shape)

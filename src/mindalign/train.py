@@ -217,7 +217,8 @@ def _batch_losses(world, datasets, mp, cfg, phase, batch_rows, master, it):
     halves), the backbone runs once over every subject's stack, and the
     clean and mixed tokens are taken out of it by row. So each ridge and
     trunk parameter has one consuming node, and its gradient is final as
-    soon as that node's closure has run.
+    soon as that node's closure has run. Where no prior or low-level loss
+    reads the clean tokens, only the mixed rows run.
     """
     subject_ids = sorted(batch_rows)
     vox = {sid: datasets[sid].voxels[batch_rows[sid]] for sid in subject_ids}
@@ -229,21 +230,23 @@ def _batch_losses(world, datasets, mp, cfg, phase, batch_rows, master, it):
     mixed = None
     if cfg.use_retrieval and phase == PHASE_BIMIXCO:
         mixed, mix = _mixco_per_subject(vox, subject_ids, cfg, master, it)
+    stack = mixed is not None and (cfg.use_prior or cfg.use_lowlevel)
     lats, clean_rows, mixed_rows = [], [], []
     start = 0
     for sid in subject_ids:
-        x = vox[sid]
+        x = vox[sid] if mixed is None else mixed[sid]
         n = x.shape[0]
         mask = _dropout_mask(mp, cfg, master, it, sid, n)
-        if mixed is not None:
+        if stack:
             clean_rows.append(np.arange(start, start + n))
             mixed_rows.append(np.arange(start + n, start + 2 * n))
-            x = np.concatenate([x, mixed[sid]])
+            x = np.concatenate([vox[sid], x])
             mask = None if mask is None else np.concatenate([mask, mask])
         lats.append(ridge_forward(mp, sid, x, mask))
         start += x.shape[0]
-    tokens = backbone_forward(mp, lats[0] if len(lats) == 1 else concat(lats, axis=0))
-    if mixed is not None:
+    tokens = mixed_tokens = backbone_forward(
+        mp, lats[0] if len(lats) == 1 else concat(lats, axis=0))
+    if stack:
         mixed_tokens = tokens[np.concatenate(mixed_rows)]
         tokens = tokens[np.concatenate(clean_rows)]
 

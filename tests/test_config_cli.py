@@ -443,6 +443,15 @@ class TestCLI:
         assert err.startswith(f"data error: {bad}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.skipif(not Path("/dev/zero").exists(), reason="no /dev/zero")
+    def test_endless_checkpoint_exits_3(self, workdir, tmp_path, capsys):
+        # refused at its magic, not read until memory runs out
+        assert main(["eval", "--config", str(workdir / "small.cfg"),
+                     "--data", str(workdir / "data"), "--checkpoint", "/dev/zero",
+                     "--subject", "s2", "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == ("data error: /dev/zero: not an array file "
+                                           "(bad magic)\n")
+
     def test_cli_finetune_equals_library_finetune_of_loaded_files(self, workdir,
                                                                   checkpoint, tmp_path):
         """The files are the one f32 boundary: past them, the CLI and the library

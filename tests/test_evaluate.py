@@ -1,6 +1,8 @@
 """Evaluation protocols against oracles and closed-form expectations."""
 
 import csv
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -474,6 +476,23 @@ class TestEvaluateModel:
         mp = init_model(tiny_world.config, tiny_mcfg, {"s0": ds.n_voxels}, seed=4)
         with pytest.raises(ConfigError):
             evaluate_model(mp, tiny_world, ds, EvalConfig(pool_size=300))
+
+    def test_a_second_call_keeps_no_arrays(self, tiny_world, tiny_datasets, tiny_mcfg):
+        # evaluation holds no arrays between calls, so repeated calls cannot
+        # raise the process peak by what they keep
+        ds = tiny_datasets["s0"]
+        mp = init_model(tiny_world.config, tiny_mcfg, {"s0": ds.n_voxels}, seed=4)
+        cfg = EvalConfig(pool_size=16, repetitions=2, seed=0, include_brain_corr=True)
+        tracemalloc.start()
+        try:
+            left = []
+            for _ in range(2):
+                evaluate_model(mp, tiny_world, ds, cfg)
+                gc.collect()
+                left.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert left[1] - left[0] <= 64 * 1024
 
     def test_report_text_format(self):
         rep = EvalReport(metrics={"pixcorr": 0.123456789},

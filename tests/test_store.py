@@ -3,7 +3,10 @@ datasets, whose only allowed outcomes are a loaded value or a DataError."""
 
 import io
 import math
+import os
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +37,12 @@ NANO_MODEL = ModelConfig(h=4, n_blocks=1, t_steps=2, d_temb=2, d_cond=4,
                          ll_hidden=4, ll_trunk=4, ll_seed_hw=1, ll_seed_channels=2,
                          teacher_hidden=2, m_tokens=2, d_token_b=2)
 FUZZ = settings(derandomize=True, deadline=None, max_examples=100)
+# what a traced I/O call on the tiny model (960 KiB of float32 in 63
+# records) may hold beyond the arrays its bound names: the finiteness check's
+# mask of one record (at most 44 KiB), the cyclic garbage numpy's .npy header
+# parser leaves per record (about 0.7 KiB), the metadata, dicts and tensors.
+# A copy of the file, or of every record, is 960 KiB.
+SLACK = 128 * 1024
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +211,68 @@ class TestArrayFile:
                                             "c": ("<f4", (1,))})
         with pytest.raises(DataError, match="'b' is .*, expected none"):
             check_layout(tmp_path, arrays, {"a": ("<f4", (2,))})
+
+    def test_a_file_that_shrinks_while_it_is_read_is_a_data_error(self, tmp_path,
+                                                                   monkeypatch):
+        # the file loses its last float after its size was taken: the short
+        # read is refused, never returned as a short array
+        path = tmp_path / "f.bin"
+        write_arrays(path, {}, {"x": np.ones(1000, dtype="<f4")})
+        size, read_header = path.stat().st_size, npy.read_array_header_1_0
+
+        def read_header_then_shrink(fp, *args, **kwargs):
+            header = read_header(fp, *args, **kwargs)
+            os.truncate(path, size - 4)
+            return header
+
+        monkeypatch.setattr(npy, "read_array_header_1_0", read_header_then_shrink)
+        with pytest.raises(DataError, match=r"record of shape \(1000,\) is cut short"):
+            read_arrays(path)
+
+    @pytest.mark.skipif(not Path("/dev/zero").exists(), reason="no /dev/zero")
+    @pytest.mark.parametrize("load", [read_arrays, load_checkpoint])
+    def test_an_endless_file_is_refused_at_its_magic(self, load):
+        # the reader takes the file's size before it reads a record, so an
+        # endless device is refused after its first bytes, not read whole
+        with pytest.raises(DataError, match=r"^/dev/zero: not an array file \(bad magic\)$"):
+            load(Path("/dev/zero"))
+
+
+def _traced_peak(call):
+    """``call()`` and the traced heap's peak, in bytes, above where it began."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Records move one at a time: no call holds a copy of the whole file."""
+
+    @pytest.fixture(scope="class")
+    def tiny_model(self, tiny_world, tiny_mcfg):
+        return init_model(tiny_world.config, tiny_mcfg, {"s0": 80, "s1": 60}, seed=1)
+
+    def test_save_checkpoint_holds_the_float32_weights_and_one_record(self, tiny_model,
+                                                                      tmp_path):
+        f32 = [p.data.size * 4 for p in tiny_model.params.values()]
+        _, peak = _traced_peak(lambda: save_checkpoint(tiny_model, tmp_path / "c.me2c"))
+        assert peak <= sum(f32) + max(f32) + SLACK
+
+    def test_load_checkpoint_holds_the_weights_and_one_float32_record(self, tiny_model,
+                                                                      tmp_path):
+        save_checkpoint(tiny_model, tmp_path / "c.me2c")
+        f32 = [p.data.size * 4 for p in tiny_model.params.values()]
+        _, peak = _traced_peak(lambda: load_checkpoint(tmp_path / "c.me2c"))
+        assert peak <= 2 * sum(f32) + max(f32) + SLACK
+
+    def test_read_arrays_holds_its_records(self, tiny_model, tmp_path):
+        save_checkpoint(tiny_model, tmp_path / "c.me2c")
+        (_, arrays), peak = _traced_peak(lambda: read_arrays(tmp_path / "c.me2c"))
+        assert peak <= sum(arr.nbytes for arr in arrays.values()) + SLACK
 
 
 class TestFuzz:

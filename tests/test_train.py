@@ -506,7 +506,7 @@ def _consuming_slots(out):
                          ids=["three-subjects", "one-subject"])
 @pytest.mark.parametrize("variant", ["All", "Ret", "ridge-vs-MLP"])
 def test_stacked_bimixco_pass_equals_two_passes(tiny_world, tiny_datasets, tiny_mcfg,
-                                                variant, subjects):
+                                                variant, subjects, monkeypatch):
     # one ridge+backbone pass over the clean rows stacked on the mixed rows
     # gives the two-pass losses and gradients to rounding: each trunk weight
     # gradient is one product over 2B rows instead of two summed
@@ -519,6 +519,9 @@ def test_stacked_bimixco_pass_equals_two_passes(tiny_world, tiny_datasets, tiny_
     mp = init_model(tiny_world.config, mcfg,
                     {sid: ds.n_voxels for sid, ds in datasets.items()}, seed=6)
     trunk = {k: p for k, p in mp.params.items() if k.startswith(("ridge.", "backbone."))}
+    ridge_rows, ridge_forward = [], train_mod.ridge_forward
+    monkeypatch.setattr(train_mod, "ridge_forward", lambda mp, sid, x, mask: (
+        ridge_rows.append(x.shape[0]) or ridge_forward(mp, sid, x, mask)))
     results, uses = [], []
     for batch_losses in (train_mod._batch_losses, batch_losses_two_pass):
         parts = batch_losses(tiny_world, datasets, mp, cfg, PHASE_BIMIXCO, rows, 9, 2)
@@ -530,8 +533,11 @@ def test_stacked_bimixco_pass_equals_two_passes(tiny_world, tiny_datasets, tiny_
         for p in mp.params.values():
             p.grad = None
     # one consuming node per trunk parameter, so its gradient is final at
-    # once; two passes use it twice unless no loss reads the clean tokens
-    assert uses == [{1}, {2 if cfg.use_prior or cfg.use_lowlevel else 1}]
+    # once; two passes use it twice unless no loss reads the clean tokens,
+    # and then the clean rows do not run at all
+    stacked = cfg.use_prior or cfg.use_lowlevel
+    assert uses == [{1}, {2 if stacked else 1}]
+    assert ridge_rows == [8 if stacked else 4] * len(subjects)
     (parts, grads), (want_parts, want_grads) = results
     assert parts[1] != 0.0 and (parts[0] != 0.0) == cfg.use_prior
     np.testing.assert_allclose(parts, want_parts, rtol=1e-12, atol=0)
@@ -543,6 +549,11 @@ def test_stacked_bimixco_pass_equals_two_passes(tiny_world, tiny_datasets, tiny_
     for name, want in want_grads.items():
         np.testing.assert_allclose(grads[name], want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max(), err_msg=name)
+    if not stacked:
+        # the mixed rows alone: the two-pass form's mixed pass, bit for bit
+        assert parts == want_parts
+        for name, want in want_grads.items():
+            assert grads[name].tobytes() == want.tobytes(), name
 
 
 def test_converter_stepping_inside_backward_equals_stepping_after_it(tiny_world,
