@@ -3,8 +3,10 @@ evaluation protocols, and emit reports, all from flat config files.
 
 Every command echoes its fully materialized config into the output directory,
 confines its side effects to that directory, and is a deterministic function
-of the echoed config. Exit codes: 0 success, 2 usage/config error, 3 data
-error, 4 numeric error.
+of the echoed config. Exit codes: 0 success, 2 usage/config error or a run
+this machine cannot hold (out of memory, a failed write, a lost worker
+process), 3 data error, 4 numeric error. Every command runs at one BLAS
+thread.
 """
 
 from __future__ import annotations
@@ -17,13 +19,14 @@ import numpy as np
 
 from . import seeds
 from .config import RunConfig, echo_config, load_config
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, WorkerLostError
 from .evaluate import evaluate_model, run_scaling, save_image
 from .flatkv import write_csv
 from .model import load_checkpoint, save_checkpoint
 from .store import write_arrays
 from .tensor import GraphError, NonFiniteError, ShapeError
 from .train import ablation_run, finetune, pretrain, train_from_scratch
+from .workers import one_blas_thread
 from .world import (generate_dataset, generate_world, load_dataset_dir, normalize,
                     save_dataset_dir, save_world_manifest)
 
@@ -238,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"this command needs {flag} (or {key})")
         # a numpy overflow, divide-by-zero or invalid value is a numeric
         # error, not a warning beside a result
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
+        with np.errstate(over="raise", divide="raise", invalid="raise"), one_blas_thread():
             return _COMMANDS[args.command][1](rc)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -249,6 +252,21 @@ def main(argv: list[str] | None = None) -> int:
     except (NonFiniteError, ShapeError, GraphError, FloatingPointError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (MemoryError, OSError, WorkerLostError) as exc:
+        # reads are mapped where they happen, so an OSError here is a write
+        print(f"resource error: {_resource_failure(exc)}", file=sys.stderr)
+        return EXIT_CONFIG
+
+
+def _resource_failure(exc: Exception) -> str:
+    """One line for a run this machine could not hold."""
+    if isinstance(exc, MemoryError):
+        detail = f"out of memory: {exc}" if str(exc) else "out of memory"
+    elif isinstance(exc, OSError) and exc.filename:
+        detail = f"cannot write {exc.filename}: {exc.strerror}"
+    else:
+        detail = str(exc)
+    return " ".join(detail.split())
 
 
 if __name__ == "__main__":

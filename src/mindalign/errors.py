@@ -15,3 +15,7 @@ class SubjectLeakError(DataError):
 
 class NonFiniteError(FloatingPointError):
     """A NaN or Inf appeared in tensor data or in an array about to be stored."""
+
+
+class WorkerLostError(Exception):
+    """A worker process died before it returned its jobs' results."""

@@ -29,6 +29,7 @@ from .model import (
 )
 from .tensor import NORM_EPS
 from .train import TrainConfig, finetune, pretrain, train_from_scratch
+from .workers import fork_map, one_blas_thread
 from .world import (
     SubjectDataset,
     WorldSpec,
@@ -559,35 +560,46 @@ def run_scaling(world: WorldSpec, datasets: dict[str, SubjectDataset],
     Each arm trains at every k of the grid, then evaluates. The anchor is the
     pretrained model fine-tuned on every available session; the baseline
     scores random images (retrieval anchored at chance).
+
+    Runs at one BLAS thread, its trainings side by side on up to two
+    processes (`workers.fork_map`): first pretraining beside the scratch
+    arm, then the fine-tunes, which inherit the checkpoint at the fork. Each
+    process holds one finished model at a time, and no model is pickled.
     """
-    check_scaling_sweep(session_grid, arms)
-    session_grid = tuple(dict.fromkeys(session_grid))  # a repeated k trains once
-    target = datasets[held_out]
-    for k in session_grid if arms else ():
-        target.check_sessions(k)  # before anything trains
-    n_sessions = int(target.session_index.max()) + 1
-    # the normalization anchor is the full-data pretrained model, so the
-    # pretraining pass runs regardless of which arms were requested
-    pre_sets = {sid: ds for sid, ds in datasets.items() if sid != held_out}
-    checkpoint, _ = pretrain(world, pre_sets, cfg, mcfg)
-    result_arms: dict[str, dict[int, EvalReport]] = {}
-    for arm in arms:
-        result_arms[arm] = {}
-        for k in session_grid:
+    with one_blas_thread():
+        check_scaling_sweep(session_grid, arms)
+        session_grid = tuple(dict.fromkeys(session_grid))  # a repeated k trains once
+        target = datasets[held_out]
+        for k in session_grid if arms else ():
+            target.check_sessions(k)  # before anything trains
+        n_sessions = int(target.session_index.max()) + 1
+        # the normalization anchor is the full-data pretrained model, so the
+        # pretraining pass runs regardless of which arms were requested
+        pre_sets = {sid: ds for sid, ds in datasets.items() if sid != held_out}
+
+        def train(job: tuple[str, int]):
+            """Pretraining's checkpoint, or one arm's evaluated model at k."""
+            arm, k = job
+            if arm == "pretrain":
+                return pretrain(world, pre_sets, cfg, mcfg)[0]
             kcfg = replace(cfg, seed=seeds.derive(cfg.seed, "scaling", arm, k))
             if arm == "pretrained":
                 mp, _ = finetune(checkpoint, world, target, k, kcfg)
             else:
                 mp, _ = train_from_scratch(world, target, k, kcfg, mcfg)
-            result_arms[arm][k] = evaluate_model(mp, world, target, eval_cfg)
-            del mp  # one finished model at a time
-    if "pretrained" in result_arms and n_sessions in result_arms["pretrained"]:
-        anchor = result_arms["pretrained"][n_sessions]
-    else:
-        acfg = replace(cfg, seed=seeds.derive(cfg.seed, "scaling", "pretrained",
-                                              n_sessions))
-        mp, _ = finetune(checkpoint, world, target, n_sessions, acfg)
-        anchor = evaluate_model(mp, world, target, eval_cfg)
-    baseline = random_baseline_report(world, target, eval_cfg)
-    return ScalingResult(arms=result_arms, baseline=baseline, anchor=anchor,
-                         seed=cfg.seed)
+            return evaluate_model(mp, world, target, eval_cfg)
+
+        # largest k first: the longest jobs start first
+        scratch_ks = sorted(session_grid, reverse=True) if "scratch" in arms else []
+        checkpoint, *scratch = fork_map(
+            train, [("pretrain", 0)] + [("scratch", k) for k in scratch_ks])
+        tuned_ks = sorted({n_sessions, *(session_grid if "pretrained" in arms else ())},
+                          reverse=True)
+        tuned = fork_map(train, [("pretrained", k) for k in tuned_ks])
+        curves = {"scratch": dict(zip(scratch_ks, scratch)),
+                  "pretrained": dict(zip(tuned_ks, tuned))}
+        baseline = random_baseline_report(world, target, eval_cfg)
+        return ScalingResult(arms={arm: {k: curves[arm][k] for k in session_grid}
+                                   for arm in arms},
+                             baseline=baseline, anchor=curves["pretrained"][n_sessions],
+                             seed=cfg.seed)

@@ -5,7 +5,9 @@ record of `format_flat` metadata whose ``arrays`` key names the records that
 follow, then one record per array. `read_arrays` accepts exactly what
 `write_arrays` writes, and raises one `DataError` naming the path otherwise;
 `write_arrays` refuses, before it writes anything, an array that
-`read_arrays` would reject.
+`read_arrays` would reject, and writes under a temporary name that it moves
+into place only once the file is complete, so no cut file ever carries the
+final name.
 
 Records move one at a time between the file and their arrays; neither side
 holds the whole file. The reader takes the file's size first and checks each
@@ -48,10 +50,19 @@ def write_arrays(path: Path, items: dict[str, object],
         if arr.dtype.kind == "f" and not np.isfinite(arr).all():
             raise NonFiniteError(f"{path}: array {name!r} holds a non-finite value")
     text = format_flat({**items, "arrays": ",".join(arrays)}).encode("utf-8")
-    with open(path, "wb") as fp:
-        fp.write(MAGIC)
-        for arr in (np.frombuffer(text, dtype=np.uint8), *arrays.values()):
-            npy.write_array(fp, np.ascontiguousarray(arr), version=(1, 0), allow_pickle=False)
+    path = Path(path)
+    part = path.with_name(f".{path.name}.{os.getpid()}.part")
+    try:
+        with open(part, "wb") as fp:
+            fp.write(MAGIC)
+            for arr in (np.frombuffer(text, dtype=np.uint8), *arrays.values()):
+                npy.write_array(fp, np.ascontiguousarray(arr), version=(1, 0),
+                                allow_pickle=False)
+        os.replace(part, path)
+    except OSError as exc:  # out of disk, or past a file-size limit
+        raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from None
+    finally:
+        part.unlink(missing_ok=True)  # already gone once it has been moved into place
 
 
 def read_arrays(path: Path) -> tuple[dict[str, str], dict[str, np.ndarray]]:

@@ -47,6 +47,7 @@ from .model import (
 )
 from .optim import AdamW, warmup_cosine_lr
 from .tensor import Tensor, concat, mse_loss
+from .workers import fork_map, one_blas_thread
 from .world import SubjectDataset, WorldSpec, teacher_targets, token_targets, vae_targets
 
 # the sweep `ablation_run` and the `ablate` command make unless told otherwise
@@ -410,20 +411,25 @@ def variant_config(cfg: TrainConfig, variant: str) -> TrainConfig:
 def ablation_run(world: WorldSpec, dataset: SubjectDataset, k_sessions: int,
                  cfg: TrainConfig, mcfg: ModelConfig, eval_cfg,
                  variants: tuple[str, ...] = DEFAULT_ABLATION_VARIANTS):
-    """Train and evaluate one model per component combination, shared seed."""
+    """Train and evaluate one model per component combination, shared seed.
+
+    Runs at one BLAS thread, the variants side by side on up to two
+    processes (`workers.fork_map`), each holding one finished model at a time.
+    """
     from .evaluate import evaluate_model  # breaks the module cycle
 
-    # a bad entry is refused before the first variant trains, and a repeated
-    # one trains once (the same seed gives the same model)
-    vcfgs = [(variant, variant_config(cfg, variant))
-             for variant in dict.fromkeys(variants)]
-    reports = {}
-    for variant, vcfg in vcfgs:
-        mp, _ = train_from_scratch(world, dataset, k_sessions, vcfg, mcfg)
-        reports[variant] = evaluate_model(mp, world, dataset, eval_cfg,
-                                          include_reconstruction=vcfg.use_prior)
-        del mp  # one finished model at a time
-    return reports
+    with one_blas_thread():
+        # a bad entry is refused before the first variant trains, and a
+        # repeated one trains once (the same seed gives the same model)
+        vcfgs = {variant: variant_config(cfg, variant) for variant in variants}
+
+        def train(variant: str):
+            vcfg = vcfgs[variant]
+            mp, _ = train_from_scratch(world, dataset, k_sessions, vcfg, mcfg)
+            return evaluate_model(mp, world, dataset, eval_cfg,
+                                  include_reconstruction=vcfg.use_prior)
+
+        return dict(zip(vcfgs, fork_map(train, list(vcfgs))))
 
 
 def train_converter(mp: ModelParams, world: WorldSpec, encoder_b, images: np.ndarray,

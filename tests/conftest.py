@@ -1,5 +1,7 @@
 """Shared fixtures: a small world and model the whole suite can reuse."""
 
+import multiprocessing
+
 import pytest
 from hypothesis import settings
 
@@ -33,3 +35,15 @@ def tiny_datasets(tiny_world):
 @pytest.fixture(scope="session")
 def tiny_mcfg():
     return TINY_MODEL
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """Fail a test that leaves a worker process running, as the benchmark
+    refuses a run that does."""
+    yield
+    left = multiprocessing.active_children()
+    for proc in left:
+        proc.terminate()
+        proc.join()
+    assert not left, f"the test left {len(left)} worker process(es) running"

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import hashlib
+import os
 import shutil
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mindalign import cli as cli_mod
+from mindalign import workers
 from mindalign.cli import _build_parser, main
 from mindalign.config import WORK_CAP, echo_config, load_config, parse_config
 from mindalign.errors import ConfigError
@@ -886,3 +888,81 @@ def test_sampling_overflow_exits_4_naming_op_and_step(workdir, scratch_checkpoin
     assert capsys.readouterr().err == ("numeric error: overflow encountered in matmul "
                                        "(sampling step 1 of 4)\n")
     assert not (out / "report.txt").exists()
+
+
+# -- slot count and resource limits ------------------------------------------
+
+
+def _outputs(out: Path) -> dict[str, bytes]:
+    """Every output file's bytes; config.txt alone names the output directory."""
+    return {str(f.relative_to(out)): f.read_bytes() for f in sorted(out.rglob("*"))
+            if f.is_file() and f.name != "config.txt"}
+
+
+@pytest.mark.skipif(workers._openblas() is None,
+                    reason="numpy's BLAS has no thread-count symbols")
+@pytest.mark.parametrize("args", [
+    # criterion 10's sweeps, and both arms on a grid that lacks the anchor's 3
+    ["scaling", "--subject", "s2", "--sessions", "1,3", "--arms", "scratch"],
+    ["scaling", "--subject", "s2", "--sessions", "2,1", "--arms", "pretrained,scratch"],
+    ["ablate", "--subject", "s2", "--sessions", "2", "--variants", "Ret,All"],
+])
+def test_sweep_files_do_not_depend_on_the_slot_count(workdir, tmp_path, monkeypatch, args):
+    outputs = []
+    for slots in (1, 2):
+        monkeypatch.setattr(workers, "slot_count", lambda n_jobs: min(slots, n_jobs))
+        out = tmp_path / f"slots{slots}"
+        assert main(args + ["--config", str(workdir / "small.cfg"),
+                            "--data", str(workdir / "data"), "--out", str(out)]) == 0
+        outputs.append(_outputs(out))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0]) >= 3
+
+
+# runs one command with an rlimit set in its own process: RLIMIT_AS to the
+# address space the imports took plus a margin, RLIMIT_FSIZE to a byte count
+_LIMITED = """
+import resource, sys
+from mindalign.cli import main
+which, extra = sys.argv[1], int(sys.argv[2])
+if which == "AS":
+    with open("/proc/self/status") as status:
+        kib = next(int(l.split()[1]) for l in status if l.startswith("VmSize:"))
+    limit, kind = kib * 1024 + extra, resource.RLIMIT_AS
+else:
+    limit, kind = extra, resource.RLIMIT_FSIZE
+resource.setrlimit(kind, (limit, limit))
+sys.exit(main(sys.argv[3:]))
+"""
+
+
+def _limited(which: str, extra: int, argv: list[str]) -> subprocess.CompletedProcess:
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", _LIMITED, which, str(extra), *argv],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=300)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_out_of_memory_exits_2_in_one_line(tmp_path):
+    # under BYTE_CAP, but one encoder matrix of a subject needs ~250 MiB
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("world.voxels_min = 20000\nworld.voxels_max = 60000\n")
+    proc = _limited("AS", 128 * 2 ** 20,
+                    ["gen-world", "--config", str(cfg), "--out", str(tmp_path / "w")])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("resource error: out of memory: Unable to allocate ")
+    assert proc.stderr.count("\n") == 1
+    assert not (tmp_path / "w" / "world.txt").exists()
+
+
+def test_a_write_past_the_file_size_limit_exits_2_and_leaves_no_file(tmp_path):
+    (tmp_path / "small.cfg").write_text(SMALL_CFG)
+    out = tmp_path / "data"
+    # config.txt fits in 16 KiB; the dataset file does not
+    proc = _limited("FSIZE", 16 * 1024,
+                    ["gen-data", "--config", str(tmp_path / "small.cfg"), "--out", str(out)])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"resource error: cannot write {out / DATASET_FILE}: ")
+    assert proc.stderr.count("\n") == 1
+    assert sorted(p.name for p in out.iterdir()) == ["config.txt"]

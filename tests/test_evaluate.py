@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mindalign import evaluate as evaluate_mod
-from mindalign import seeds
+from mindalign import seeds, workers
 from mindalign.errors import ConfigError, DataError
 from mindalign.evaluate import (
     CORE_METRICS,
@@ -588,13 +588,17 @@ class TestScalingNormalization:
             monkeypatch.setattr(evaluate_mod, name, recording(name, k_arg))
         monkeypatch.setattr(evaluate_mod, "evaluate_model",
                             lambda *args, **kwargs: EvalReport(metrics={}, protocol={}))
+        # one slot, so that every call is recorded in this process
+        monkeypatch.setattr(workers, "slot_count", lambda n_jobs: 1)
         result = run_scaling(tiny_world, tiny_datasets, "s3", (2, 1, 2, 1),
                              ("pretrained", "scratch"), TrainConfig(held_out_subject="s3"),
                              tiny_mcfg, EvalConfig(pool_size=16, repetitions=2))
-        # the anchor fine-tunes on all 4 sessions, which the grid lacks
-        assert calls == [("pretrain", None), ("finetune", 2), ("finetune", 1),
-                         ("train_from_scratch", 2), ("train_from_scratch", 1),
-                         ("finetune", 4)]
+        # pretraining beside the scratch arm, then the fine-tunes; each list
+        # runs its largest k first. The anchor fine-tunes on all 4 sessions,
+        # which the grid lacks
+        assert calls == [("pretrain", None), ("train_from_scratch", 2),
+                         ("train_from_scratch", 1), ("finetune", 4), ("finetune", 2),
+                         ("finetune", 1)]
         assert {arm: list(curve) for arm, curve in result.arms.items()} == {
             "pretrained": [2, 1], "scratch": [2, 1]}
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mindalign import optim as optim_mod
-from mindalign import seeds
+from mindalign import seeds, workers
 from mindalign import train as train_mod
 from mindalign.errors import ConfigError, DataError, SubjectLeakError
 from mindalign.losses import PHASE_BIMIXCO, recompose_total, total_loss
@@ -601,6 +601,8 @@ def test_every_protocol_steps_its_gradients_inside_backward(tiny_world, tiny_dat
         real_step(opt)
 
     monkeypatch.setattr(AdamW, "step", step)
+    # one slot, so that the ablation's steps are all recorded in this process
+    monkeypatch.setattr(workers, "slot_count", lambda n_jobs: 1)
     seen = {}
 
     def run(protocol, call):
